@@ -113,27 +113,43 @@ trace:
 	go test -race -count=1 -timeout 120s -run 'TestCallPropagatesSpanTree|TestSetTraceRaceWithConcurrentCalls' ./internal/wire/
 	go test -race -count=1 -timeout 180s -v -run 'TestDistributedTraceSpine|TestTailSamplingRetention' ./internal/integration/
 
-# Wire compatibility matrix: every codec pairing (binary client vs JSON
-# server and the reverse), old frames without Trace/ID, torn and oversized
-# binary frames answered with error responses, and the mid-connection
-# JSON-after-binary regression — all under the race detector, across the
-# wire and kvstore layers.
+# Wire robustness gate for the binary envelope, the only framing the wire
+# protocol speaks: torn and oversized frames, garbage bodies, a JSON-looking
+# frame mid-connection (each answered with an error response, the
+# connection kept unless the stream cannot resync), the pinned golden
+# envelope bytes, and the kvstore frame-buffer aliasing regression — all
+# under the race detector. Every listed name must match a test: a stale
+# entry fails the target instead of silently running nothing.
+WIRECOMPAT_WIRE := TestBinaryServerRejectsTornAndOversizedFrames TestDecodeTruncatedEnvelopes \
+	TestReadFrameTruncated TestServerRejectsOversizedFrameWithError \
+	TestBinaryResponseTooLargeKeepsConnection TestServerAnswersGarbageFrameAndKeepsServing \
+	TestCallBinaryServerMisbehaves TestBinaryServerRejectsJSONFrameMidConnection \
+	TestBinaryServerRejectsUnparseableJSONFrame TestCrossCodecGolden
+WIRECOMPAT_KVSTORE := TestBinaryPutKeysDoNotAliasFrameBuffer
+
+empty :=
+space := $(empty) $(empty)
+
+# run-listed PKG,NAMES: fail unless every name in NAMES is a test in PKG,
+# then run exactly those tests under -race.
+define run-listed
+	@have="$$(go test -list . $(1))"; for t in $(2); do \
+		echo "$$have" | grep -qx "$$t" || { echo "$(1): no test named $$t"; exit 1; }; \
+	done
+	go test -race -count=1 -timeout 120s -run '^($(subst $(space),|,$(strip $(2))))$$' $(1)
+endef
+
 wirecompat:
-	go test -race -count=1 -timeout 120s \
-		-run 'TestWireCompatMatrix|TestBinaryEnvelopeOverLegacyHandler|TestOldFrameWithoutTraceOrID|TestBinaryServerRejectsJSONFrameMidConnection|TestBinaryServerRejectsTornAndOversizedFrames|TestBinaryServerRejectsUnparseableJSONFrame|TestNegotiationFallbackToJSON|TestRenegotiateAfterReconnect|TestCrossCodecGolden|TestCallBinaryServerMisbehaves|TestClientNegotiateServerMisbehaves' \
-		./internal/wire/
-	go test -race -count=1 -timeout 120s \
-		-run 'TestClientCodecMatrix|TestBinaryPutKeysDoNotAliasFrameBuffer' \
-		./internal/kvstore/
+	$(call run-listed,./internal/wire/,$(WIRECOMPAT_WIRE))
+	$(call run-listed,./internal/kvstore/,$(WIRECOMPAT_KVSTORE))
 
 # Short fuzz pass over every parser that faces untrusted bytes: the wire
-# JSON framing and binary envelope, the journal replay path, the black-box
+# binary envelope and its framing, the journal replay path, the black-box
 # capture decoder, the traceparent codec, and the metrics text scraper.
 # ~30s per target keeps the whole pass under CI's patience while still
 # churning well past the seed corpus.
 FUZZTIME ?= 30s
 fuzz-smoke:
-	go test -count=1 -run=NONE -fuzz 'FuzzReadMessage' -fuzztime $(FUZZTIME) ./internal/wire/
 	go test -count=1 -run=NONE -fuzz 'FuzzBinaryFrameDecode' -fuzztime $(FUZZTIME) ./internal/wire/
 	go test -count=1 -run=NONE -fuzz 'FuzzJournalReplay' -fuzztime $(FUZZTIME) ./internal/granting/
 	go test -count=1 -run=NONE -fuzz 'FuzzBlackboxDecode' -fuzztime $(FUZZTIME) ./internal/slo/

@@ -50,7 +50,6 @@ func main() {
 	policyName := flag.String("policy", "host", "remark policy: host or flow")
 	dialTimeout := flag.Duration("dial-timeout", 2*time.Second, "per-attempt dial timeout")
 	callTimeout := flag.Duration("call-timeout", 2*time.Second, "per-RPC deadline")
-	codecName := flag.String("codec", "binary", "wire codec to offer at dial time: binary (falls back to json against old servers) or json")
 	staleness := flag.Duration("staleness-budget", 0, "fail-static window on store outages (0 = 3x rate TTL)")
 	sloReport := flag.Bool("slo-report", false, "track this contract's SLO conformance (serve /slo, print the report on exit)")
 	blackboxDir := flag.String("blackbox-dir", "", "arm an incident black box in this directory: burn-rate alerts trigger a persistent capture replayable with `sloctl replay` (implies -slo-report)")
@@ -59,17 +58,11 @@ func main() {
 	logJSON := flag.Bool("log-json", false, "emit cycle traces as JSON instead of text")
 	flag.Parse()
 
-	codec, err := wire.ParseCodec(*codecName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "agent: %v\n", err)
-		os.Exit(2)
-	}
-
 	if err := run(config{
 		host: *host, npg: *npg, className: *className, region: *region,
 		dbAddr: *dbAddr, kvAddr: *kvAddr, rateGbps: *rateGbps,
 		period: *period, cycles: *cycles, policyName: *policyName,
-		dialTimeout: *dialTimeout, callTimeout: *callTimeout, codec: codec, staleness: *staleness,
+		dialTimeout: *dialTimeout, callTimeout: *callTimeout, staleness: *staleness,
 		sloReport: *sloReport || *blackboxDir != "", blackboxDir: *blackboxDir,
 		metricsAddr: *metricsAddr, logLevel: *logLevel, logJSON: *logJSON,
 	}); err != nil {
@@ -87,7 +80,6 @@ type config struct {
 	policyName                   string
 	dialTimeout                  time.Duration
 	callTimeout                  time.Duration
-	codec                        wire.Codec
 	staleness                    time.Duration
 	sloReport                    bool
 	blackboxDir                  string
@@ -148,7 +140,7 @@ func run(cfg config) error {
 	// backoff behind every call. The Logger surfaces per-call client spans
 	// — method, request_id, took — at debug level; the request IDs match
 	// the ones the servers log, so one grep follows a call end to end.
-	opts := wire.ClientOptions{DialTimeout: cfg.dialTimeout, CallTimeout: cfg.callTimeout, Codec: cfg.codec, Logger: logger, Service: cfg.host}
+	opts := wire.ClientOptions{DialTimeout: cfg.dialTimeout, CallTimeout: cfg.callTimeout, Logger: logger, Service: cfg.host}
 	db := contractdb.Connect(cfg.dbAddr, opts)
 	defer db.Close()
 	kv := kvstore.Connect(cfg.kvAddr, opts)

@@ -14,9 +14,9 @@
 // ns/op against the 200ns-per-half budget, traceparent encode/parse, and
 // full-tree assembly wall time.
 //
-// BENCH_wire.json: the binary wire codec vs JSON — payload encode/decode
-// ns/op and allocs/op, plus the full socket-level kvstore publish round
-// trip per negotiated codec.
+// BENCH_wire.json: the schema-binary payload codec vs a JSON reference —
+// encode/decode ns/op and allocs/op — plus the full socket-level kvstore
+// publish round trip through the binary envelope.
 //
 // Run via `make bench-json`; future re-anchors read the speed curves from the
 // JSON instead of prose claims.

@@ -9,15 +9,15 @@ import (
 	"time"
 
 	"entitlement/internal/kvstore"
-	"entitlement/internal/wire"
 	schemav1 "entitlement/schema/v1"
 )
 
-// BENCH_wire.json: the wire protocol's publish hot path through both
-// codecs. The payload codec numbers isolate encode/decode cost; the socket
-// numbers are the honest end-to-end round trip (loopback syscalls dominate
-// there, so the codec gap narrows — the ≥5x bar is pinned at the codec
-// layer by TestPublishCodecSpeedupAndAllocs in internal/wire).
+// BENCH_wire.json: the wire protocol's publish hot path. The payload codec
+// numbers isolate encode/decode cost, schema-binary against a JSON
+// reference; the socket numbers are the honest end-to-end round trip
+// through the binary envelope (loopback syscalls dominate there — the ≥5x
+// codec bar is pinned by TestPublishCodecSpeedupAndAllocs in
+// internal/wire).
 
 type wireBench struct {
 	// Payload codec: one KVPut encode + decode, no envelope, no socket.
@@ -26,15 +26,11 @@ type wireBench struct {
 	PayloadJSONNsPerOp       int64 `json:"payload_json_ns_per_op"`
 	PayloadJSONAllocsPerOp   int64 `json:"payload_json_allocs_per_op"`
 	// Socket: a full kvstore Put round trip through a real client and
-	// server on loopback, per negotiated codec.
+	// server on loopback.
 	SocketBinaryNsPerOp     int64   `json:"socket_binary_put_ns_per_op"`
 	SocketBinaryAllocsPerOp int64   `json:"socket_binary_put_allocs_per_op"`
 	SocketBinaryBytesPerOp  int64   `json:"socket_binary_put_bytes_per_op"`
-	SocketJSONNsPerOp       int64   `json:"socket_json_put_ns_per_op"`
-	SocketJSONAllocsPerOp   int64   `json:"socket_json_put_allocs_per_op"`
-	SocketJSONBytesPerOp    int64   `json:"socket_json_put_bytes_per_op"`
 	PayloadSpeedup          float64 `json:"payload_codec_speedup"`
-	SocketSpeedup           float64 `json:"socket_put_speedup"`
 }
 
 type wireReport struct {
@@ -71,14 +67,14 @@ func benchPayloadCodec() (bin, js testing.BenchmarkResult) {
 	return bin, js
 }
 
-func benchSocketPut(codec wire.Codec) (testing.BenchmarkResult, error) {
+func benchSocketPut() (testing.BenchmarkResult, error) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return testing.BenchmarkResult{}, err
 	}
 	srv := kvstore.NewServerOpts(l, kvstore.New(), kvstore.ServerOptions{CompactEvery: -1})
 	defer srv.Close()
-	c, err := kvstore.DialOpts(srv.Addr(), wire.ClientOptions{Codec: codec})
+	c, err := kvstore.Dial(srv.Addr())
 	if err != nil {
 		return testing.BenchmarkResult{}, err
 	}
@@ -99,11 +95,7 @@ func benchSocketPut(codec wire.Codec) (testing.BenchmarkResult, error) {
 
 func runWire(out string) error {
 	bin, js := benchPayloadCodec()
-	sockBin, err := benchSocketPut(wire.CodecBinary)
-	if err != nil {
-		return err
-	}
-	sockJSON, err := benchSocketPut(wire.CodecJSON)
+	sockBin, err := benchSocketPut()
 	if err != nil {
 		return err
 	}
@@ -117,11 +109,7 @@ func runWire(out string) error {
 			SocketBinaryNsPerOp:      sockBin.NsPerOp(),
 			SocketBinaryAllocsPerOp:  sockBin.AllocsPerOp(),
 			SocketBinaryBytesPerOp:   sockBin.AllocedBytesPerOp(),
-			SocketJSONNsPerOp:        sockJSON.NsPerOp(),
-			SocketJSONAllocsPerOp:    sockJSON.AllocsPerOp(),
-			SocketJSONBytesPerOp:     sockJSON.AllocedBytesPerOp(),
 			PayloadSpeedup:           round1(float64(js.NsPerOp()) / float64(bin.NsPerOp())),
-			SocketSpeedup:            round1(float64(sockJSON.NsPerOp()) / float64(sockBin.NsPerOp())),
 		},
 	}
 	buf, err := json.MarshalIndent(rep, "", "  ")
@@ -132,10 +120,9 @@ func runWire(out string) error {
 	if err := os.WriteFile(out, buf, 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s: payload binary %d ns/op (%d allocs) vs json %d ns/op (%.1fx), socket put binary %d ns/op (%d allocs) vs json %d ns/op (%.1fx)\n",
+	fmt.Printf("wrote %s: payload binary %d ns/op (%d allocs) vs json %d ns/op (%.1fx), socket put %d ns/op (%d allocs)\n",
 		out, bin.NsPerOp(), bin.AllocsPerOp(), js.NsPerOp(),
 		float64(js.NsPerOp())/float64(bin.NsPerOp()),
-		sockBin.NsPerOp(), sockBin.AllocsPerOp(), sockJSON.NsPerOp(),
-		float64(sockJSON.NsPerOp())/float64(sockBin.NsPerOp()))
+		sockBin.NsPerOp(), sockBin.AllocsPerOp())
 	return nil
 }

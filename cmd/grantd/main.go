@@ -52,7 +52,6 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7003", "listen address for the granting RPC")
 	dbAddr := flag.String("contractdb", "", "contract database address to push granted contracts to (empty keeps an in-process store)")
-	codecName := flag.String("codec", "binary", "wire codec to offer the contract database: binary (falls back to json against old servers) or json")
 	figure6 := flag.Bool("figure6", false, "serve the Figure 6 five-region mesh instead of a synthetic backbone")
 	regions := flag.Int("regions", 6, "synthetic backbone regions")
 	seed := flag.Int64("seed", 1, "random seed (topology, TM sampling, risk scenarios)")
@@ -107,17 +106,11 @@ func main() {
 		}
 	}
 
-	codec, err := wire.ParseCodec(*codecName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "grantd: %v\n", err)
-		os.Exit(2)
-	}
-
 	var sink granting.Sink
 	if *dbAddr != "" {
 		// Lazy connect with backoff: grantd comes up even if the database
 		// is still starting; store failures surface per decision.
-		sink = contractdb.Connect(*dbAddr, wire.ClientOptions{Service: "grantd", Codec: codec})
+		sink = contractdb.Connect(*dbAddr, wire.ClientOptions{Service: "grantd"})
 	} else {
 		sink = contractdb.NewStore()
 	}

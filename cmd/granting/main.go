@@ -25,7 +25,7 @@ import (
 	"entitlement/internal/granting"
 	"entitlement/internal/risk"
 	"entitlement/internal/topology"
-	"entitlement/internal/trace"
+	"entitlement/internal/traffic"
 	"entitlement/internal/wire"
 )
 
@@ -40,22 +40,15 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	traceFile := flag.String("trace", "", "CSV traffic history (npg,class,src,dst,offset_seconds,bits_per_second) instead of synthetic demand")
 	submit := flag.String("submit", "", "grantd address: submit the prepared requests instead of deciding in-process")
-	codecName := flag.String("codec", "binary", "wire codec to offer grantd with -submit: binary (falls back to json against old servers) or json")
 	flag.Parse()
 
-	codec, err := wire.ParseCodec(*codecName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "granting: %v\n", err)
-		os.Exit(2)
-	}
-
-	if err := run(*regions, *tail, *days, *rateTbps, *slo, *scenarios, *workers, *seed, *traceFile, *submit, codec); err != nil {
+	if err := run(*regions, *tail, *days, *rateTbps, *slo, *scenarios, *workers, *seed, *traceFile, *submit); err != nil {
 		fmt.Fprintf(os.Stderr, "granting: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(regions, tail, days int, rateTbps, slo float64, scenarios, workers int, seed int64, traceFile, submit string, codec wire.Codec) error {
+func run(regions, tail, days int, rateTbps, slo float64, scenarios, workers int, seed int64, traceFile, submit string) error {
 	topoOpts := topology.DefaultBackboneOptions()
 	topoOpts.Regions = regions
 	topoOpts.Seed = seed
@@ -69,13 +62,13 @@ func run(regions, tail, days int, rateTbps, slo float64, scenarios, workers int,
 		topo.NumRegions(), topo.NumLinks(), topo.TotalCapacity()/1e12)
 
 	highTouch := make(map[contract.NPG]bool)
-	var ds *trace.DemandSet
+	var ds *traffic.DemandSet
 	if traceFile != "" {
 		f, err := os.Open(traceFile)
 		if err != nil {
 			return err
 		}
-		ds, err = trace.ReadCSV(f, trace.DefaultStart)
+		ds, err = traffic.ReadCSV(f, traffic.DefaultStart)
 		f.Close()
 		if err != nil {
 			return err
@@ -85,14 +78,14 @@ func run(regions, tail, days int, rateTbps, slo float64, scenarios, workers int,
 		}
 		fmt.Printf("workload: %d flow aggregates loaded from %s\n", len(ds.Flows), traceFile)
 	} else {
-		specs := trace.DefaultOntology(tail)
+		specs := traffic.DefaultOntology(tail)
 		for _, s := range specs {
 			if s.HighTouch {
 				highTouch[s.Name] = true
 			}
 		}
 		var err error
-		ds, err = trace.GenerateDemands(specs, trace.MatrixOptions{
+		ds, err = traffic.GenerateDemands(specs, traffic.MatrixOptions{
 			Regions: topo.RegionsSorted(), TotalRate: rateTbps * 1e12,
 			Days: days, Step: time.Hour, Seed: seed + 1,
 		})
@@ -139,7 +132,7 @@ func run(regions, tail, days int, rateTbps, slo float64, scenarios, workers int,
 			return err
 		}
 	} else {
-		client, err := granting.DialOpts(submit, wire.ClientOptions{Codec: codec, Service: "granting"})
+		client, err := granting.DialOpts(submit, wire.ClientOptions{Service: "granting"})
 		if err != nil {
 			return err
 		}

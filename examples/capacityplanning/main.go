@@ -18,7 +18,7 @@ import (
 	"entitlement/internal/planner"
 	"entitlement/internal/risk"
 	"entitlement/internal/topology"
-	"entitlement/internal/trace"
+	"entitlement/internal/traffic"
 )
 
 func main() {
@@ -32,7 +32,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	history, err := trace.GenerateDemands(trace.DefaultOntology(0), trace.MatrixOptions{
+	history, err := traffic.GenerateDemands(traffic.DefaultOntology(0), traffic.MatrixOptions{
 		Regions: topo.RegionsSorted(), TotalRate: 12e12,
 		Days: 100, Step: time.Hour, Seed: 2,
 	})

@@ -22,7 +22,7 @@ import (
 	"entitlement/internal/kvstore"
 	"entitlement/internal/risk"
 	"entitlement/internal/topology"
-	"entitlement/internal/trace"
+	"entitlement/internal/traffic"
 )
 
 func main() {
@@ -39,8 +39,8 @@ func main() {
 		topo.NumRegions(), topo.TotalCapacity()/1e12)
 
 	// 2. Ninety days of synthetic history for the dominant services.
-	specs := trace.DefaultOntology(0)
-	history, err := trace.GenerateDemands(specs, trace.MatrixOptions{
+	specs := traffic.DefaultOntology(0)
+	history, err := traffic.GenerateDemands(specs, traffic.MatrixOptions{
 		Regions: topo.RegionsSorted(), TotalRate: 8e12,
 		Days: 90, Step: time.Hour, Seed: 1,
 	})

@@ -162,7 +162,7 @@ func NewServer(l net.Listener, store *Store) *Server {
 // options (the Logger surfaces client request IDs in this server's spans).
 func NewServerOpts(l net.Listener, store *Store, opts wire.ServerOptions) *Server {
 	s := &Server{store: store}
-	s.srv = wire.NewServerPayload(l, s.handle, opts)
+	s.srv = wire.NewServer(l, s.handle, opts)
 	return s
 }
 

@@ -27,7 +27,7 @@ import (
 	"entitlement/internal/hose"
 	"entitlement/internal/timeseries"
 	"entitlement/internal/topology"
-	"entitlement/internal/trace"
+	"entitlement/internal/traffic"
 )
 
 // Options configures one entitlement round.
@@ -43,7 +43,7 @@ type Options struct {
 	SLO        map[contract.NPG]contract.SLO
 	DefaultSLO contract.SLO
 	// HighTouch lists the services entitled individually; every other NPG
-	// aggregates into trace.LowTouchNPG. A nil map treats every NPG as
+	// aggregates into traffic.LowTouchNPG. A nil map treats every NPG as
 	// high-touch.
 	HighTouch map[contract.NPG]bool
 	// Approval configures the granting engine.
@@ -105,7 +105,7 @@ func effectiveNPG(npg contract.NPG, highTouch map[contract.NPG]bool) contract.NP
 	if highTouch == nil || highTouch[npg] {
 		return npg
 	}
-	return trace.LowTouchNPG
+	return traffic.LowTouchNPG
 }
 
 // PrepareRequests runs steps 1–2 of the granting pipeline — demand forecast
@@ -114,7 +114,7 @@ func effectiveNPG(npg contract.NPG, highTouch map[contract.NPG]bool) contract.NP
 // online admission (cmd/grantd, cmd/granting -submit) can prepare requests
 // once and route the decision through the granting service instead of the
 // in-process approval below.
-func (f *Framework) PrepareRequests(history *trace.DemandSet, opts Options) (*Report, error) {
+func (f *Framework) PrepareRequests(history *traffic.DemandSet, opts Options) (*Report, error) {
 	if f.Topo == nil {
 		return nil, errors.New("core: framework missing topology")
 	}
@@ -232,7 +232,7 @@ func (f *Framework) PrepareRequests(history *trace.DemandSet, opts Options) (*Re
 // EstablishContracts runs the full granting pipeline on a demand history and
 // stores the resulting contracts in the database: PrepareRequests (steps
 // 1–2), then approval (step 3) and contracts into the database (step 4).
-func (f *Framework) EstablishContracts(history *trace.DemandSet, opts Options) (*Report, error) {
+func (f *Framework) EstablishContracts(history *traffic.DemandSet, opts Options) (*Report, error) {
 	if f.Topo == nil || f.DB == nil {
 		return nil, errors.New("core: framework missing topology or database")
 	}
@@ -315,7 +315,7 @@ type NegotiationRound struct {
 // actually guarantees. The base report (with the original asks and their
 // proposals) and the per-round trail are returned alongside the final
 // report.
-func (f *Framework) EstablishContractsNegotiated(history *trace.DemandSet, opts Options, maxRounds int) (*Report, []NegotiationRound, error) {
+func (f *Framework) EstablishContractsNegotiated(history *traffic.DemandSet, opts Options, maxRounds int) (*Report, []NegotiationRound, error) {
 	if maxRounds < 0 {
 		return nil, nil, errors.New("core: negative negotiation rounds")
 	}

@@ -12,14 +12,14 @@ import (
 	"entitlement/internal/hose"
 	"entitlement/internal/risk"
 	"entitlement/internal/topology"
-	"entitlement/internal/trace"
+	"entitlement/internal/traffic"
 )
 
 var periodStart = time.Date(2026, 4, 1, 0, 0, 0, 0, time.UTC)
 
 // fixture builds a small end-to-end setup: 5-region reliable backbone,
 // 120 days of history for a few services.
-func fixture(t *testing.T, tail int) (*Framework, *trace.DemandSet, Options) {
+func fixture(t *testing.T, tail int) (*Framework, *traffic.DemandSet, Options) {
 	t.Helper()
 	topoOpts := topology.DefaultBackboneOptions()
 	topoOpts.Regions = 5
@@ -31,8 +31,8 @@ func fixture(t *testing.T, tail int) (*Framework, *trace.DemandSet, Options) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	specs := trace.DefaultOntology(tail)
-	ds, err := trace.GenerateDemands(specs, trace.MatrixOptions{
+	specs := traffic.DefaultOntology(tail)
+	ds, err := traffic.GenerateDemands(specs, traffic.MatrixOptions{
 		Regions: topo.RegionsSorted(), TotalRate: 20e12,
 		Days: 120, Step: time.Hour, Seed: 3,
 	})
@@ -143,7 +143,7 @@ func TestEstablishContractsLowTouchGrouping(t *testing.T) {
 	}
 	sawLowTouch := false
 	for _, c := range rep.Contracts {
-		if c.NPG == trace.LowTouchNPG {
+		if c.NPG == traffic.LowTouchNPG {
 			sawLowTouch = true
 		}
 		// No tail service gets its own contract.
@@ -226,8 +226,8 @@ func TestEstablishContractsProposalsForScarcity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	specs := trace.DefaultOntology(0)
-	ds, err := trace.GenerateDemands(specs, trace.MatrixOptions{
+	specs := traffic.DefaultOntology(0)
+	ds, err := traffic.GenerateDemands(specs, traffic.MatrixOptions{
 		Regions: topo.RegionsSorted(), TotalRate: 20e12,
 		Days: 120, Step: time.Hour, Seed: 3,
 	})
@@ -264,7 +264,7 @@ func TestEstablishContractsNegotiated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, err := trace.GenerateDemands(trace.DefaultOntology(0), trace.MatrixOptions{
+	ds, err := traffic.GenerateDemands(traffic.DefaultOntology(0), traffic.MatrixOptions{
 		Regions: topo.RegionsSorted(), TotalRate: 20e12,
 		Days: 120, Step: time.Hour, Seed: 3,
 	})

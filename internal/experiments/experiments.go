@@ -14,7 +14,7 @@ import (
 	"entitlement/internal/contract"
 	"entitlement/internal/stats"
 	"entitlement/internal/topology"
-	"entitlement/internal/trace"
+	"entitlement/internal/traffic"
 )
 
 // Series is one labeled curve of an experiment.
@@ -59,8 +59,8 @@ func indexes(n int) []float64 {
 // traffic per service, dominated by a handful of (mostly storage) services
 // with a long tail.
 func ServiceDistribution(class contract.Class, tailServices int) *Result {
-	specs := trace.DefaultOntology(tailServices)
-	dist := trace.ClassDistribution(specs, class)
+	specs := traffic.DefaultOntology(tailServices)
+	dist := traffic.ClassDistribution(specs, class)
 	r := &Result{
 		Name:    fmt.Sprintf("fig-%s", classFigName(class)),
 		Caption: fmt.Sprintf("service distribution of QoS %v (%d services)", class, len(dist)),
@@ -108,12 +108,12 @@ func StoragePatterns(days int) *Result {
 		days = 7
 	}
 	step := 5 * time.Minute
-	cold := trace.SpikeTrain(trace.SpikeTrainOptions{
+	cold := traffic.SpikeTrain(traffic.SpikeTrainOptions{
 		Base: 2e12 * 0.4, SpikeHeight: 2e12 * 2.4,
 		Period: 4 * time.Hour, SpikeWidth: time.Hour,
 		Noise: 0.05, Days: days, Step: step, Seed: 31,
 	})
-	warm := trace.Diurnal(trace.DiurnalOptions{
+	warm := traffic.Diurnal(traffic.DiurnalOptions{
 		Base: 3e12, Amplitude: 0.9e12, Noise: 0.05, PeakHour: 20,
 		Days: days, Step: step, Seed: 32,
 	})
@@ -143,12 +143,12 @@ func SourceConcentration(regions int) *Result {
 	for i := range names {
 		names[i] = fmt.Sprintf("R%02d", i)
 	}
-	specs := trace.DefaultOntology(0)
+	specs := traffic.DefaultOntology(0)
 	regionList := make([]topology.Region, 0, regions)
 	for _, n := range names {
 		regionList = append(regionList, topology.Region(n))
 	}
-	ds, err := trace.GenerateDemands(specs, trace.MatrixOptions{
+	ds, err := traffic.GenerateDemands(specs, traffic.MatrixOptions{
 		Regions: regionList, TotalRate: 20e12, Days: 3, Step: time.Hour, Seed: 17,
 	})
 	if err != nil {

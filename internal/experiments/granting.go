@@ -14,7 +14,7 @@ import (
 	"entitlement/internal/stats"
 	"entitlement/internal/timeseries"
 	"entitlement/internal/topology"
-	"entitlement/internal/trace"
+	"entitlement/internal/traffic"
 )
 
 // --- Figures 18 & 19: forecast accuracy ------------------------------------
@@ -31,7 +31,7 @@ func ForecastAccuracy(class contract.Class, services int, seed int64) *Result {
 	var p50s, p75s, p90s []float64
 	for s := 0; s < services; s++ {
 		base := 1e9 * (1 + rng.Float64()*50)
-		raw := trace.TrendSeasonal(trace.GrowthOptions{
+		raw := traffic.TrendSeasonal(traffic.GrowthOptions{
 			Base:        base,
 			DailyGrowth: base * (0.001 + 0.004*rng.Float64()),
 			WeeklyAmp:   base * 0.1 * rng.Float64(),

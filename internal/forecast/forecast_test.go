@@ -8,7 +8,7 @@ import (
 
 	"entitlement/internal/stats"
 	"entitlement/internal/timeseries"
-	"entitlement/internal/trace"
+	"entitlement/internal/traffic"
 )
 
 var t0 = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
@@ -308,7 +308,7 @@ func TestGBDTForecastMonthsRollsForward(t *testing.T) {
 }
 
 func TestDailySLIKinds(t *testing.T) {
-	raw := trace.Diurnal(trace.DiurnalOptions{
+	raw := traffic.Diurnal(traffic.DiurnalOptions{
 		Base: 100, Amplitude: 50, Noise: 0, PeakHour: 12,
 		Days: 4, Step: time.Hour, Seed: 1,
 	})
@@ -386,7 +386,7 @@ func TestAdjustInorganic(t *testing.T) {
 }
 
 func TestEvaluateAccuracy(t *testing.T) {
-	raw := trace.TrendSeasonal(trace.GrowthOptions{
+	raw := traffic.TrendSeasonal(traffic.GrowthOptions{
 		Base: 10e9, DailyGrowth: 20e6, WeeklyAmp: 0.5e9, DiurnalAmp: 2e9,
 		Noise: 0.03, Days: 150, Step: time.Hour, Seed: 4,
 	})
@@ -404,7 +404,7 @@ func TestEvaluateAccuracy(t *testing.T) {
 }
 
 func TestEvaluateAccuracyErrors(t *testing.T) {
-	raw := trace.Diurnal(trace.DiurnalOptions{Base: 1, Amplitude: 0, Days: 40, Step: time.Hour, Seed: 1})
+	raw := traffic.Diurnal(traffic.DiurnalOptions{Base: 1, Amplitude: 0, Days: 40, Step: time.Hour, Seed: 1})
 	if _, err := EvaluateAccuracy(raw, 0, ProphetOptions{}); err == nil {
 		t.Error("zero testDays accepted")
 	}

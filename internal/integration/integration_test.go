@@ -21,7 +21,7 @@ import (
 	"entitlement/internal/netsim"
 	"entitlement/internal/risk"
 	"entitlement/internal/topology"
-	"entitlement/internal/trace"
+	"entitlement/internal/traffic"
 )
 
 var periodStart = time.Date(2026, 4, 1, 0, 0, 0, 0, time.UTC)
@@ -39,7 +39,7 @@ func grantContracts(t *testing.T) (*contractdb.Store, *core.Report) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, err := trace.GenerateDemands(trace.DefaultOntology(0), trace.MatrixOptions{
+	ds, err := traffic.GenerateDemands(traffic.DefaultOntology(0), traffic.MatrixOptions{
 		Regions: topo.RegionsSorted(), TotalRate: 10e12,
 		Days: 100, Step: time.Hour, Seed: 5,
 	})

@@ -20,16 +20,67 @@ func startKVServer(t *testing.T, opts ServerOptions) *Server {
 	return srv
 }
 
-// Every kvstore verb behaves identically through both codecs.
+// jsonRates is a RateStore over a bare wire client whose arguments and
+// replies have no binary codec, so every payload rides as JSON inside the
+// binary envelope — what a tool that never links schema/v1 would send.
+type jsonRates struct{ c *wire.Client }
+
+type jsonKey struct {
+	Key string `json:"key"`
+}
+
+func (j jsonRates) Put(key string, value float64, ttl time.Duration) error {
+	return j.c.Call("put", map[string]interface{}{"key": key, "value": value, "ttl_ms": ttl.Milliseconds()}, nil)
+}
+
+func (j jsonRates) Get(key string) (float64, bool, error) {
+	var r struct {
+		Value float64 `json:"value"`
+		Found bool    `json:"found"`
+	}
+	err := j.c.Call("get", jsonKey{key}, &r)
+	return r.Value, r.Found, err
+}
+
+func (j jsonRates) SumPrefix(prefix string) (float64, error) {
+	var r struct {
+		Sum float64 `json:"sum"`
+	}
+	err := j.c.Call("sum", jsonKey{prefix}, &r)
+	return r.Sum, err
+}
+
+func (j jsonRates) Delete(key string) error { return j.c.Call("delete", jsonKey{key}, nil) }
+
+// Every kvstore verb behaves identically through both payload codecs:
+// schema-binary from the kvstore Client, JSON from a bare wire client.
 func TestClientCodecMatrix(t *testing.T) {
-	for _, codec := range []wire.Codec{wire.CodecJSON, wire.CodecBinary} {
-		t.Run(codec.String(), func(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		dial func(addr string) (RateStore, func() error, error)
+	}{
+		{"binary", func(addr string) (RateStore, func() error, error) {
+			c, err := Dial(addr)
+			if err != nil {
+				return nil, nil, err
+			}
+			return c, c.Close, nil
+		}},
+		{"json", func(addr string) (RateStore, func() error, error) {
+			c, err := wire.Dial(addr)
+			if err != nil {
+				return nil, nil, err
+			}
+			return jsonRates{c}, c.Close, nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			srv := startKVServer(t, ServerOptions{CompactEvery: -1})
-			c, err := DialOpts(srv.Addr(), wire.ClientOptions{Codec: codec})
+			c, closeFn, err := tc.dial(srv.Addr())
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer c.Close()
+			defer closeFn()
 			if err := c.Put(RateKey("Ads", "c2_low", "A", "h1"), 10, time.Minute); err != nil {
 				t.Fatal(err)
 			}
@@ -60,7 +111,7 @@ func TestClientCodecMatrix(t *testing.T) {
 // reading the store back catches any aliasing.
 func TestBinaryPutKeysDoNotAliasFrameBuffer(t *testing.T) {
 	srv := startKVServer(t, ServerOptions{CompactEvery: -1})
-	c, err := DialOpts(srv.Addr(), wire.ClientOptions{Codec: wire.CodecBinary})
+	c, err := Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +138,7 @@ func TestBinaryPutKeysDoNotAliasFrameBuffer(t *testing.T) {
 	}
 }
 
-// The publish hot path — Client.Put on a binary-negotiated connection into
+// The publish hot path — Client.Put over the binary envelope into
 // a real server — performs zero heap allocations per call across all
 // goroutines (testing.AllocsPerRun counts the server's side too). This is
 // the end-to-end half of the ISSUE's bench bar; the 5x throughput half is
@@ -97,7 +148,7 @@ func TestClientPutBinaryZeroAlloc(t *testing.T) {
 		t.Skip("race instrumentation allocates")
 	}
 	srv := startKVServer(t, ServerOptions{CompactEvery: -1})
-	c, err := DialOpts(srv.Addr(), wire.ClientOptions{Codec: wire.CodecBinary})
+	c, err := Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,14 +174,16 @@ func TestClientPutBinaryZeroAlloc(t *testing.T) {
 	}
 }
 
-func benchClientPut(b *testing.B, codec wire.Codec) {
+// BenchmarkClientPutBinary is the socket-level publish benchmark through
+// the full kvstore client/server stack.
+func BenchmarkClientPutBinary(b *testing.B) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
 	}
 	srv := NewServerOpts(l, New(), ServerOptions{CompactEvery: -1})
 	defer srv.Close()
-	c, err := DialOpts(srv.Addr(), wire.ClientOptions{Codec: codec})
+	c, err := Dial(srv.Addr())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -147,8 +200,3 @@ func benchClientPut(b *testing.B, codec wire.Codec) {
 		}
 	}
 }
-
-// Socket-level publish benchmarks through the full kvstore client/server
-// stack (exported to BENCH_wire.json by cmd/benchjson -wire-out).
-func BenchmarkClientPutBinary(b *testing.B) { benchClientPut(b, wire.CodecBinary) }
-func BenchmarkClientPutJSON(b *testing.B)   { benchClientPut(b, wire.CodecJSON) }

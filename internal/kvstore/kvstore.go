@@ -166,8 +166,7 @@ func (s *Store) expired(e entry) bool {
 
 // The message shapes are versioned schema contracts (schema/v1, pinned by
 // `make vet-schema`): KVPut, KVKey, KVGetReply, KVSumReply. All four carry
-// binary codecs, so on a binary-negotiated connection the publish path
-// runs end to end without JSON.
+// binary codecs, so the publish path runs end to end without JSON.
 
 // Arg/reply pools keep the put and aggregate paths allocation-free: passing
 // a pooled pointer through wire.Call's interface{} parameters stores the
@@ -205,7 +204,7 @@ func NewServer(l net.Listener, store *Store) *Server {
 // NewServerOpts serves store on l with explicit options.
 func NewServerOpts(l net.Listener, store *Store, opts ServerOptions) *Server {
 	s := &Server{store: store, stop: make(chan struct{})}
-	s.srv = wire.NewServerPayload(l, s.handle, opts.Wire)
+	s.srv = wire.NewServer(l, s.handle, opts.Wire)
 	every := opts.CompactEvery
 	if every == 0 {
 		every = time.Minute
@@ -349,9 +348,9 @@ func (c *Client) SetTrace(trace string) { c.c.SetTrace(trace) }
 // the request frame.
 func (c *Client) SetSpan(ctx trace.Context) { c.c.SetSpan(ctx) }
 
-// Put implements RateStore. On a binary-negotiated connection the pooled
-// args, the schema-binary codec, and the wire client's frame-buffer reuse
-// make the whole publish allocation-free.
+// Put implements RateStore. The pooled args, the schema-binary codec, and
+// the wire client's frame-buffer reuse make the whole publish
+// allocation-free.
 func (c *Client) Put(key string, value float64, ttl time.Duration) error {
 	a := putPool.Get().(*schemav1.KVPut)
 	a.Key, a.Value, a.TTLMs = key, value, ttl.Milliseconds()

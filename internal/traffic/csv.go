@@ -1,4 +1,4 @@
-package trace
+package traffic
 
 import (
 	"encoding/csv"

@@ -1,4 +1,4 @@
-package trace
+package traffic
 
 import (
 	"strings"
@@ -7,7 +7,7 @@ import (
 
 // FuzzReadCSV drives the trace loader with arbitrary text; it must never
 // panic — malformed rows produce errors.
-// Run with: go test -fuzz=FuzzReadCSV ./internal/trace
+// Run with: go test -fuzz=FuzzReadCSV ./internal/traffic
 func FuzzReadCSV(f *testing.F) {
 	f.Add("npg,class,src,dst,offset_seconds,bits_per_second\nAds,c2_low,A,B,0,100\nAds,c2_low,A,B,60,200\n")
 	f.Add("Ads,c2_low,A,B,0,100\n")

@@ -1,4 +1,4 @@
-// Package trace generates the synthetic production traffic the reproduction
+// Package traffic generates the synthetic production traffic the reproduction
 // runs on, substituting for Meta's proprietary traces. It provides:
 //
 //   - pattern generators matching §2.1's observations: smooth diurnal
@@ -11,7 +11,7 @@
 //     (Figure 7: 67% of traffic from 3 regions);
 //   - a demand-matrix generator producing per-(NPG, class, src, dst) time
 //     series over a topology's regions.
-package trace
+package traffic
 
 import (
 	"fmt"

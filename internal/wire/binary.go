@@ -1,34 +1,11 @@
-// The binary wire codec: the same 4-byte length-prefixed framing as the
-// JSON codec, with the frame body in a compact positional encoding instead
-// of a JSON object. It exists for one reason — the kvstore publish path has
-// to survive millions of publishes per second, and JSON encode/decode of
-// the envelope plus payload is the dominant CPU cost there.
+// The binary envelope: the one frame body the wire protocol speaks. It is
+// a compact positional encoding, so the kvstore publish path — millions of
+// publishes per second across a fleet — spends no CPU on JSON for the
+// envelope or its payload.
 //
-// # Negotiation
+// # Frame layout (schema v1)
 //
-// The codec is negotiated once per connection, at dial time, with JSON as
-// the universal fallback:
-//
-//	client                                server
-//	  | JSON frame {method:"_negotiate",     |
-//	  |   payload:{codec:"binary",version:1}}|
-//	  |-------------------------------------->
-//	  |   (new server) JSON {payload:{codec: |
-//	  |     "binary",version:1}} — switch    |
-//	  |<--------------------------------------  both sides now binary
-//	  |   (old server) JSON {error:"unknown  |
-//	  |     method ..."} — client stays JSON |
-//	  |<--------------------------------------  connection stays JSON
-//
-// The offer is a regular JSON request, so a server that predates the binary
-// codec answers it like any unknown method — with an error response — and
-// the connection simply continues on JSON. New servers intercept the
-// reserved "_negotiate" method before dispatch. Every re-dial re-negotiates,
-// so a server downgrade mid-deployment degrades the codec, never the
-// connection.
-//
-// # Binary frame layout (schema v1)
-//
+//	bytes 0-3 big-endian body length (≤ MaxMessageSize)
 //	byte 0    kind: 0x01 request, 0x02 response
 //	byte 1    flags
 //	request:  method(str) id(str) trace(str) payload(rest of frame)
@@ -39,18 +16,19 @@
 // client accepts a schema-binary response payload. Response flags: bit0 =
 // payload is schema-binary, bit1 = retryable (overload shed). Payloads ride
 // as raw bytes either way, so methods without a binary payload codec (the
-// granting plane's contract-bearing messages) still benefit from the
-// envelope being binary while their payloads stay JSON.
+// granting plane's contract-bearing messages) keep JSON payloads inside the
+// binary envelope.
 //
-// Because both codecs share the outer length-prefixed framing, a frame in
-// the wrong codec never desyncs the stream: the whole body is consumed by
-// length, the server answers with an error response, and the connection
-// keeps serving (see serveBinaryFrame).
+// Every body is length-delimited, so a malformed one — garbage, a torn
+// envelope, a JSON frame from a confused peer — never desyncs the stream:
+// the whole body is consumed, the server answers with an error response,
+// and the connection keeps serving (see serveFrame).
 package wire
 
 import (
 	"bufio"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -59,41 +37,15 @@ import (
 	schemav1 "entitlement/schema/v1"
 )
 
-// Codec selects the wire encoding a client offers at dial time.
+// Codec is kept only so existing ClientOptions literals compile.
+//
+// Deprecated: binary is the only codec; ignored.
 type Codec int
 
-const (
-	// CodecJSON is the universal default: length-prefixed JSON frames,
-	// spoken by every peer since the first release.
-	CodecJSON Codec = iota
-	// CodecBinary offers the binary codec at dial time and falls back to
-	// JSON when the server declines (or predates negotiation).
-	CodecBinary
-)
-
-// String renders the codec flag value.
-func (c Codec) String() string {
-	if c == CodecBinary {
-		return "binary"
-	}
-	return "json"
-}
-
-// ParseCodec parses a -codec flag value.
-func ParseCodec(s string) (Codec, error) {
-	switch s {
-	case "json":
-		return CodecJSON, nil
-	case "binary":
-		return CodecBinary, nil
-	default:
-		return CodecJSON, fmt.Errorf("wire: unknown codec %q (want json or binary)", s)
-	}
-}
-
-// NegotiateMethod is the reserved method name for codec negotiation; wire
-// servers intercept it before dispatch, so handlers never see it.
-const NegotiateMethod = "_negotiate"
+// CodecBinary is kept only so existing ClientOptions literals compile.
+//
+// Deprecated: binary is the only codec; ignored.
+const CodecBinary Codec = 1
 
 // Frame kinds and flags of the binary envelope (schema v1).
 const (
@@ -221,8 +173,9 @@ func appendBinResponseHeader(dst []byte, flags byte, id []byte, errMsg string, r
 
 // readFrameInto reads one length-prefixed frame body into buf, growing it
 // as needed, and returns the body view plus the (possibly regrown) buffer.
-// The reuse is what makes the binary receive path allocation-free after the
-// first frame.
+// The reuse is what makes the receive path allocation-free after the first
+// frame. After ErrMessageTooLarge the header has been consumed but not the
+// body, so the stream is desynced and the caller must drop the connection.
 func readFrameInto(r *bufio.Reader, buf []byte) (body, kept []byte, err error) {
 	// The length header is read into buf rather than a local array: a stack
 	// array sliced into io.ReadFull escapes through the io.Reader interface
@@ -249,8 +202,8 @@ func readFrameInto(r *bufio.Reader, buf []byte) (body, kept []byte, err error) {
 }
 
 // appendRequestID renders "<prefix>.<base>-<seq>" (or "<base>-<seq>"
-// untraced) into dst without allocating — the binary hot path's replacement
-// for fmt.Sprintf in requestID.
+// untraced) into dst without allocating — the hot path's replacement for
+// fmt.Sprintf in requestID.
 func appendRequestID(dst []byte, prefix, base string, seq uint64) []byte {
 	if prefix != "" {
 		dst = append(dst, prefix...)
@@ -261,30 +214,18 @@ func appendRequestID(dst []byte, prefix, base string, seq uint64) []byte {
 	return strconv.AppendUint(dst, seq, 10)
 }
 
-// Payload is one request's payload plus its encoding, handed to
-// PayloadHandler. Binary payloads (and JSON ones on binary connections)
-// alias the connection's frame buffer: they are valid only for the duration
-// of the handler call, which is exactly the decode-and-act window every
-// handler in this repo uses. A handler that must retain bytes copies them.
+// Payload is one request's payload plus its encoding, handed to Handler.
+// Payloads alias the connection's frame buffer: they are valid only for
+// the duration of the handler call, which is exactly the decode-and-act
+// window every handler in this repo uses. A handler that must retain bytes
+// copies them.
 type Payload struct {
 	data   []byte
 	binary bool
 }
 
-// JSONPayload wraps raw JSON bytes as a Payload (for tests and adapters).
-func JSONPayload(b []byte) Payload { return Payload{data: b} }
-
-// BinaryPayload wraps schema-binary bytes as a Payload.
-func BinaryPayload(b []byte) Payload { return Payload{data: b, binary: true} }
-
-// IsBinary reports whether the payload is schema-binary rather than JSON.
-func (p Payload) IsBinary() bool { return p.binary }
-
 // Empty reports whether the request carried no payload.
 func (p Payload) Empty() bool { return len(p.data) == 0 }
-
-// Bytes exposes the raw payload (aliasing rules above apply).
-func (p Payload) Bytes() []byte { return p.data }
 
 // Decode unmarshals the payload into v using whichever codec it arrived
 // in: schema-binary via schemav1.WireUnmarshaler, JSON via encoding/json.
@@ -299,4 +240,13 @@ func (p Payload) Decode(v interface{}) error {
 		return u.DecodeBinary(p.data)
 	}
 	return jsonUnmarshalPayload(p.data, v)
+}
+
+// jsonUnmarshalPayload decodes JSON payload bytes with the wire error
+// prefix handlers and clients have always reported.
+func jsonUnmarshalPayload(data []byte, v interface{}) error {
+	if err := json.Unmarshal(data, v); err != nil {
+		return fmt.Errorf("wire: unmarshal payload: %w", err)
+	}
+	return nil
 }

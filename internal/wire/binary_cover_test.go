@@ -4,10 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"strings"
 	"testing"
@@ -57,32 +55,6 @@ func TestReadFrameIntoGrowAndShortBody(t *testing.T) {
 	}
 }
 
-// failAfterWriter fails the nth Write call.
-type failAfterWriter struct{ n int }
-
-func (w *failAfterWriter) Write(p []byte) (int, error) {
-	w.n--
-	if w.n < 0 {
-		return 0, errors.New("sink failed")
-	}
-	return len(p), nil
-}
-
-func TestWriteMessageErrors(t *testing.T) {
-	if err := WriteMessage(io.Discard, func() {}); err == nil || !strings.Contains(err.Error(), "marshal") {
-		t.Errorf("unmarshalable value: %v", err)
-	}
-	if err := WriteMessage(io.Discard, strings.Repeat("x", MaxMessageSize)); !errors.Is(err, ErrMessageTooLarge) {
-		t.Errorf("oversized value: %v", err)
-	}
-	if err := WriteMessage(&failAfterWriter{n: 0}, "ok"); err == nil {
-		t.Error("header write failure ignored")
-	}
-	if err := WriteMessage(&failAfterWriter{n: 1}, "ok"); err == nil {
-		t.Error("body write failure ignored")
-	}
-}
-
 func TestBytesEqual(t *testing.T) {
 	if bytesEqual([]byte("ab"), []byte("abc")) {
 		t.Error("length mismatch equal")
@@ -95,64 +67,35 @@ func TestBytesEqual(t *testing.T) {
 	}
 }
 
-// The server declines negotiation for a garbled payload or an unknown
-// codec/version, with an error response on the same JSON connection.
-func TestServerNegotiateDeclines(t *testing.T) {
-	_, addr := startPayloadServer(t, ServerOptions{})
+// The serve loop honors ReadIdleTimeout, logs through the server Logger,
+// and stamps the Service name onto spans, with the client side logging
+// too — for replies in either payload codec.
+func TestServeLoopsWithLoggerServiceAndIdleTimeout(t *testing.T) {
 	for _, tc := range []struct {
-		name    string
-		payload string
-		wantErr string
+		name  string
+		reply func() (interface{}, func() float64)
 	}{
-		{"garbled", `{"version":"not-an-int"}`, "bad negotiation payload"},
-		{"wrong-version", `{"codec":"binary","version":99}`, "unsupported codec"},
-		{"wrong-codec", `{"codec":"protobuf","version":1}`, "unsupported codec"},
+		{"binary", func() (interface{}, func() float64) {
+			r := new(schemav1.KVSumReply)
+			return r, func() float64 { return r.Sum }
+		}},
+		{"json", func() (interface{}, func() float64) {
+			r := new(struct {
+				Sum float64 `json:"sum"`
+			})
+			return r, func() float64 { return r.Sum }
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			conn, err := net.Dial("tcp", addr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer conn.Close()
-			if err := WriteMessage(conn, &Request{Method: NegotiateMethod, ID: "n1", Payload: json.RawMessage(tc.payload)}); err != nil {
-				t.Fatal(err)
-			}
-			var resp Response
-			if err := ReadMessage(conn, &resp); err != nil {
-				t.Fatal(err)
-			}
-			if !strings.Contains(resp.Error, tc.wantErr) {
-				t.Errorf("error = %q, want %q", resp.Error, tc.wantErr)
-			}
-			// Still JSON-serving after the decline. (Fresh Response: omitted
-			// fields would otherwise keep their previous values across
-			// Unmarshal.)
-			payload, _ := json.Marshal("still-here")
-			if err := WriteMessage(conn, &Request{Method: "echo", ID: "n2", Payload: payload}); err != nil {
-				t.Fatal(err)
-			}
-			var resp2 Response
-			if err := ReadMessage(conn, &resp2); err != nil || resp2.Error != "" {
-				t.Errorf("post-decline echo: %+v, %v", resp2, err)
-			}
-		})
-	}
-}
-
-// Both serve loops honor ReadIdleTimeout, log through the server Logger,
-// and stamp the Service name onto spans; the client side logs too.
-func TestServeLoopsWithLoggerServiceAndIdleTimeout(t *testing.T) {
-	for _, codec := range []Codec{CodecJSON, CodecBinary} {
-		t.Run(codec.String(), func(t *testing.T) {
 			var serverLog, clientLog syncBuffer
 			l, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
 				t.Fatal(err)
 			}
-			srv := NewServerPayload(l, func(tc trace.Context, method string, p Payload) (interface{}, error) {
+			srv := NewServer(l, func(_ trace.Context, method string, _ Payload) (interface{}, error) {
 				switch method {
 				case "ok":
-					return "fine", nil
+					return &schemav1.KVSumReply{Sum: 2.5}, nil
 				case "badresult":
 					return func() {}, nil // json.Marshal will fail
 				default:
@@ -164,7 +107,7 @@ func TestServeLoopsWithLoggerServiceAndIdleTimeout(t *testing.T) {
 				Service:         "covertest",
 			})
 			defer srv.Close()
-			c, err := DialOpts(l.Addr().String(), ClientOptions{Codec: codec, Logger: debugLogger(&clientLog)})
+			c, err := DialOpts(l.Addr().String(), ClientOptions{Logger: debugLogger(&clientLog)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -172,9 +115,9 @@ func TestServeLoopsWithLoggerServiceAndIdleTimeout(t *testing.T) {
 			root := trace.Default().StartRoot("cover-op")
 			c.SetSpan(root.Context())
 			defer root.Finish()
-			var s string
-			if err := c.Call("ok", nil, &s); err != nil || s != "fine" {
-				t.Fatalf("ok = %q, %v", s, err)
+			reply, got := tc.reply()
+			if err := c.Call("ok", nil, reply); err != nil || got() != 2.5 {
+				t.Fatalf("ok = %v, %v", got(), err)
 			}
 			var re *RemoteError
 			if err := c.Call("fail", nil, nil); !errors.As(err, &re) {
@@ -185,7 +128,7 @@ func TestServeLoopsWithLoggerServiceAndIdleTimeout(t *testing.T) {
 			if err := c.Call("badresult", nil, nil); !errors.As(err, &re) {
 				t.Fatalf("badresult = %v", err)
 			}
-			if err := c.Call("ok", nil, &s); err != nil {
+			if err := c.Call("ok", nil, reply); err != nil {
 				t.Fatalf("connection lost after marshal failure: %v", err)
 			}
 			for _, log := range []*syncBuffer{&serverLog, &clientLog} {
@@ -207,12 +150,8 @@ func TestBinaryServerRejectsUnparseableJSONFrame(t *testing.T) {
 	}
 	defer conn.Close()
 	br := bufio.NewReader(conn)
-	negotiateRaw(t, conn)
 	garbage := []byte(`{"method": truncated`)
-	frame := make([]byte, 4+len(garbage))
-	binary.BigEndian.PutUint32(frame[:4], uint32(len(garbage)))
-	copy(frame[4:], garbage)
-	if _, err := conn.Write(frame); err != nil {
+	if _, err := conn.Write(frame(garbage)); err != nil {
 		t.Fatal(err)
 	}
 	resp := readBinaryResponse(t, br)
@@ -221,8 +160,7 @@ func TestBinaryServerRejectsUnparseableJSONFrame(t *testing.T) {
 	}
 }
 
-// scriptedBinaryServer accepts one connection, performs the server side of
-// negotiation honestly, then hands each subsequent binary request to
+// scriptedBinaryServer accepts one connection and hands each request to
 // respond, which returns the raw response frame body to send.
 func scriptedBinaryServer(t *testing.T, respond func(req binRequest) []byte) string {
 	t.Helper()
@@ -238,16 +176,8 @@ func scriptedBinaryServer(t *testing.T, respond func(req binRequest) []byte) str
 		}
 		defer conn.Close()
 		br := bufio.NewReader(conn)
-		var nreq Request
-		if err := ReadMessage(br, &nreq); err != nil || nreq.Method != NegotiateMethod {
-			return
-		}
-		reply, _ := json.Marshal(schemav1.HelloReply{Codec: schemav1.CodecBinary, Version: schemav1.Version})
-		if err := WriteMessage(conn, &Response{ID: nreq.ID, Payload: reply}); err != nil {
-			return
-		}
 		for {
-			body, err := readFrame(br)
+			body, _, err := readFrameInto(br, nil)
 			if err != nil {
 				return
 			}
@@ -255,11 +185,7 @@ func scriptedBinaryServer(t *testing.T, respond func(req binRequest) []byte) str
 			if err != nil {
 				return
 			}
-			out := respond(req)
-			frame := make([]byte, 4+len(out))
-			binary.BigEndian.PutUint32(frame[:4], uint32(len(out)))
-			copy(frame[4:], out)
-			if _, err := conn.Write(frame); err != nil {
+			if _, err := conn.Write(frame(respond(req))); err != nil {
 				return
 			}
 		}
@@ -310,7 +236,7 @@ func TestCallBinaryServerMisbehaves(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			addr := scriptedBinaryServer(t, tc.respond)
-			c, err := DialOpts(addr, ClientOptions{Codec: CodecBinary})
+			c, err := Dial(addr)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -323,131 +249,79 @@ func TestCallBinaryServerMisbehaves(t *testing.T) {
 	}
 }
 
-// Negotiation against servers that hang up, answer with the wrong ID, or
-// send an unreadable reply fails the dial (transiently); a reply naming a
-// different codec is a clean JSON fallback.
-func TestClientNegotiateServerMisbehaves(t *testing.T) {
-	script := func(t *testing.T, respond func(conn net.Conn, req Request)) string {
-		t.Helper()
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { l.Close() })
-		go func() {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			defer conn.Close()
-			var req Request
-			if err := ReadMessage(bufio.NewReader(conn), &req); err != nil {
-				return
-			}
-			respond(conn, req)
-			time.Sleep(time.Second) // keep the conn open past the client's read
-		}()
-		return l.Addr().String()
-	}
-
-	t.Run("hangs-up", func(t *testing.T) {
-		addr := script(t, func(conn net.Conn, req Request) { conn.Close() })
-		if _, err := DialOpts(addr, ClientOptions{Codec: CodecBinary}); err == nil || !strings.Contains(err.Error(), "codec negotiation") {
-			t.Errorf("dial = %v", err)
-		}
-	})
-	t.Run("wrong-id", func(t *testing.T) {
-		addr := script(t, func(conn net.Conn, req Request) {
-			WriteMessage(conn, &Response{ID: "not-the-hello-id"})
-		})
-		if _, err := DialOpts(addr, ClientOptions{Codec: CodecBinary}); err == nil || !strings.Contains(err.Error(), "does not match") {
-			t.Errorf("dial = %v", err)
-		}
-	})
-	t.Run("garbled-reply", func(t *testing.T) {
-		addr := script(t, func(conn net.Conn, req Request) {
-			// Valid JSON, but not a HelloReply shape.
-			WriteMessage(conn, &Response{ID: req.ID, Payload: json.RawMessage(`"not-a-reply"`)})
-		})
-		if _, err := DialOpts(addr, ClientOptions{Codec: CodecBinary}); err == nil || !strings.Contains(err.Error(), "negotiation reply") {
-			t.Errorf("dial = %v", err)
-		}
-	})
-	t.Run("other-codec-reply", func(t *testing.T) {
-		addr := script(t, func(conn net.Conn, req Request) {
-			reply, _ := json.Marshal(schemav1.HelloReply{Codec: schemav1.CodecJSON, Version: schemav1.Version})
-			WriteMessage(conn, &Response{ID: req.ID, Payload: reply})
-		})
-		c, err := DialOpts(addr, ClientOptions{Codec: CodecBinary})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		if got := c.NegotiatedCodec(); got != CodecJSON {
-			t.Errorf("negotiated = %v, want json fallback", got)
-		}
-	})
-}
-
 // Argument marshal failures and oversized requests error before touching
-// the connection, on both codec paths.
+// the connection, for arguments in either payload codec.
 func TestCallArgumentErrors(t *testing.T) {
-	for _, codec := range []Codec{CodecJSON, CodecBinary} {
-		t.Run(codec.String(), func(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		badArgs   interface{} // fails to encode, or nil when it cannot
+		hugeArgs  interface{}
+		aliveArgs interface{}
+	}{
+		{"binary", nil, &schemav1.KVKey{Key: strings.Repeat("x", MaxMessageSize)}, &schemav1.KVKey{Key: "alive"}},
+		{"json", func() {}, jsonKVKey{Key: strings.Repeat("x", MaxMessageSize)}, jsonKVKey{Key: "alive"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			_, addr := startPayloadServer(t, ServerOptions{})
-			c, err := DialOpts(addr, ClientOptions{Codec: codec})
+			c, err := Dial(addr)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer c.Close()
-			if err := c.Call("echo", func() {}, nil); err == nil || !strings.Contains(err.Error(), "marshal args") {
-				t.Errorf("unmarshalable args: %v", err)
+			if tc.badArgs != nil {
+				if err := c.Call("echo", tc.badArgs, nil); err == nil || !strings.Contains(err.Error(), "marshal args") {
+					t.Errorf("unmarshalable args: %v", err)
+				}
 			}
-			err = c.Call("echo", strings.Repeat("x", MaxMessageSize), nil)
-			if !errors.Is(err, ErrMessageTooLarge) {
+			if err := c.Call("get", tc.hugeArgs, nil); !errors.Is(err, ErrMessageTooLarge) {
 				t.Errorf("oversized args: %v", err)
 			}
 			// The connection survives both local failures.
-			var s string
-			if err := c.Call("echo", "alive", &s); err != nil || s != "alive" {
-				t.Errorf("post-failure echo: %q, %v", s, err)
+			var r jsonKVGetReply
+			if err := c.Call("get", tc.aliveArgs, &r); err != nil {
+				t.Errorf("post-failure call: %v", err)
 			}
 		})
 	}
 }
 
-// A handler result too large for the frame limit drops the binary
-// connection (the response cannot be framed); the client recovers on the
-// next call via re-dial.
-func TestBinaryResponseTooLargeDropsConnection(t *testing.T) {
+// A handler result too large for the frame limit is answered with a
+// permanent size error on the same connection: the request was served and
+// framing never desynced, so there is nothing for the client to retry and
+// no reason to drop the connection.
+func TestBinaryResponseTooLargeKeepsConnection(t *testing.T) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServerPayload(l, func(tc trace.Context, method string, p Payload) (interface{}, error) {
+	srv := NewServer(l, func(tc trace.Context, method string, p Payload) (interface{}, error) {
 		if method == "huge" {
 			return strings.Repeat("x", MaxMessageSize), nil
 		}
 		return "ok", nil
 	}, ServerOptions{})
 	defer srv.Close()
-	c, err := DialOpts(l.Addr().String(), ClientOptions{Codec: CodecBinary, MinBackoff: time.Millisecond, MaxBackoff: time.Millisecond})
+	c, err := Dial(l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Call("huge", nil, nil); !IsTransient(err) {
-		t.Errorf("huge result: %v, want transient", err)
+	err = c.Call("huge", nil, nil)
+	var re *RemoteError
+	if !errors.As(err, &re) || IsTransient(err) || !strings.Contains(re.Message, ErrMessageTooLarge.Error()) {
+		t.Fatalf("huge result: %v, want a permanent RemoteError carrying %q", err, ErrMessageTooLarge)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		var s string
-		if err := c.Call("small", nil, &s); err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("client never recovered")
-		}
-		time.Sleep(5 * time.Millisecond)
+	c.mu.Lock()
+	conn := c.conn
+	c.mu.Unlock()
+	var s string
+	if err := c.Call("small", nil, &s); err != nil || s != "ok" {
+		t.Fatalf("next call: %q, %v", s, err)
+	}
+	c.mu.Lock()
+	same := c.conn == conn
+	c.mu.Unlock()
+	if !same {
+		t.Error("the next call re-dialed: the oversized result dropped the connection")
 	}
 }

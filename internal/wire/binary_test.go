@@ -29,7 +29,7 @@ func startPayloadServer(t *testing.T, opts ServerOptions) (*Server, string) {
 	}
 	var mu sync.Mutex
 	data := map[string]float64{}
-	srv := NewServerPayload(l, func(tc trace.Context, method string, p Payload) (interface{}, error) {
+	srv := NewServer(l, func(tc trace.Context, method string, p Payload) (interface{}, error) {
 		switch method {
 		case "put":
 			var a schemav1.KVPut
@@ -69,10 +69,10 @@ func startPayloadServer(t *testing.T, opts ServerOptions) (*Server, string) {
 	return srv, l.Addr().String()
 }
 
-// exerciseClient runs the cross-codec contract against one client: typed
-// payloads round-trip, remote errors and overload sheds carry identical
+// exerciseClient runs the wire contract against one client: typed and JSON
+// payloads round-trip, remote errors and overload sheds keep their
 // semantics, and a span context round-trips through the frame's Trace
-// field. Every codec pairing must pass it unchanged.
+// field.
 func exerciseClient(t *testing.T, c *Client) {
 	t.Helper()
 	if err := c.Call("put", &schemav1.KVPut{Key: "rates/web/h1", Value: 3.5, TTLMs: 60000}, nil); err != nil {
@@ -114,7 +114,7 @@ func exerciseClient(t *testing.T, c *Client) {
 		t.Error("overload shed classified permanent")
 	}
 
-	// Trace context crosses the wire in both codecs.
+	// Trace context crosses the wire.
 	root := trace.Default().StartRoot("compat-op")
 	c.SetSpan(root.Context())
 	var tid string
@@ -133,65 +133,63 @@ func exerciseClient(t *testing.T, c *Client) {
 	}
 }
 
-// The compatibility matrix (`make wirecompat`): every pairing of codec
-// offer and server capability serves identical request/response semantics.
-func TestWireCompatMatrix(t *testing.T) {
-	cases := []struct {
-		name       string
-		server     ServerOptions
-		codec      Codec
-		negotiated Codec
-	}{
-		{"binary-client/binary-server", ServerOptions{}, CodecBinary, CodecBinary},
-		{"binary-client/json-server", ServerOptions{DisableBinary: true}, CodecBinary, CodecJSON},
-		{"json-client/binary-server", ServerOptions{}, CodecJSON, CodecJSON},
-		{"json-client/json-server", ServerOptions{DisableBinary: true}, CodecJSON, CodecJSON},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, addr := startPayloadServer(t, tc.server)
-			c, err := DialOpts(addr, ClientOptions{Codec: tc.codec})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
-			if got := c.NegotiatedCodec(); got != tc.negotiated {
-				t.Fatalf("negotiated codec = %v, want %v", got, tc.negotiated)
-			}
-			exerciseClient(t, c)
-		})
-	}
+// jsonKVKey and jsonKVGetReply mirror the schema/v1 shapes without their
+// binary codecs, so a call using them carries JSON payloads.
+type jsonKVKey struct {
+	Key string `json:"key"`
 }
 
-// Legacy JSON-era handlers keep working behind the binary transport: the
-// envelope is binary, the payload stays JSON, and a schema-binary payload
-// aimed at a legacy server is rejected cleanly instead of being parsed as
-// garbage.
-func TestBinaryEnvelopeOverLegacyHandler(t *testing.T) {
-	_, addr := startEchoServer(t) // plain Handler, no payload awareness
-	c, err := DialOpts(addr, ClientOptions{Codec: CodecBinary})
+type jsonKVGetReply struct {
+	Value float64 `json:"value"`
+	Found bool    `json:"found"`
+}
+
+// The payload compatibility matrix: a zero-value client passes the wire
+// contract, and every pairing of argument and reply payload codec inside
+// the one binary envelope serves identical results.
+func TestWireCompatMatrix(t *testing.T) {
+	_, addr := startPayloadServer(t, ServerOptions{})
+	c, err := DialOpts(addr, ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if got := c.NegotiatedCodec(); got != CodecBinary {
-		t.Fatalf("negotiated codec = %v, want binary", got)
-	}
-	var s string
-	if err := c.Call("echo", "ping", &s); err != nil || s != "ping" {
-		t.Errorf("echo = %q, %v", s, err)
-	}
-	// A schema-binary payload has no JSON meaning; the legacy server must
-	// answer with an error, not attempt to decode it.
-	err = c.Call("echo", &schemav1.KVKey{Key: "x"}, nil)
-	var re *RemoteError
-	if !errors.As(err, &re) || !strings.Contains(re.Message, "no binary payload codec") {
-		t.Errorf("binary payload to legacy handler: err = %v", err)
+	exerciseClient(t, c)
+	for _, tc := range []struct {
+		name  string
+		args  interface{}
+		reply func() (interface{}, func() schemav1.KVGetReply)
+	}{
+		{"binary-args/binary-reply", &schemav1.KVKey{Key: "rates/web/h1"}, binaryGetReply},
+		{"binary-args/json-reply", &schemav1.KVKey{Key: "rates/web/h1"}, jsonGetReply},
+		{"json-args/binary-reply", jsonKVKey{Key: "rates/web/h1"}, binaryGetReply},
+		{"json-args/json-reply", jsonKVKey{Key: "rates/web/h1"}, jsonGetReply},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reply, result := tc.reply()
+			if err := c.Call("get", tc.args, reply); err != nil {
+				t.Fatal(err)
+			}
+			if got := result(); got != (schemav1.KVGetReply{Value: 3.5, Found: true}) {
+				t.Errorf("get = %+v, want {3.5 true}", got)
+			}
+		})
 	}
 }
 
-// A frame without Trace — and without ID — is what pre-tracing peers send;
-// both must keep working against a payload server.
+func binaryGetReply() (interface{}, func() schemav1.KVGetReply) {
+	r := new(schemav1.KVGetReply)
+	return r, func() schemav1.KVGetReply { return *r }
+}
+
+func jsonGetReply() (interface{}, func() schemav1.KVGetReply) {
+	r := new(jsonKVGetReply)
+	return r, func() schemav1.KVGetReply { return schemav1.KVGetReply{Value: r.Value, Found: r.Found} }
+}
+
+// A request without Trace — and without ID — still gets served: both
+// fields are optional in the envelope, and the response echoes the empty
+// ID.
 func TestOldFrameWithoutTraceOrID(t *testing.T) {
 	_, addr := startPayloadServer(t, ServerOptions{})
 	conn, err := net.Dial("tcp", addr)
@@ -200,41 +198,19 @@ func TestOldFrameWithoutTraceOrID(t *testing.T) {
 	}
 	defer conn.Close()
 	payload, _ := json.Marshal("bare")
-	// Hand-built request with only method+payload: exactly the frame shape
-	// of the first release.
-	if err := WriteMessage(conn, map[string]interface{}{"method": "echo", "payload": json.RawMessage(payload)}); err != nil {
+	if _, err := conn.Write(requestFrame(0, "echo", "", "", payload)); err != nil {
 		t.Fatal(err)
 	}
-	var resp Response
-	if err := ReadMessage(conn, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Error != "" || string(resp.Payload) != `"bare"` {
-		t.Errorf("bare frame response = %+v", resp)
-	}
-}
-
-// negotiateRaw performs the client side of codec negotiation on a raw
-// connection, failing the test if the server declines.
-func negotiateRaw(t *testing.T, conn net.Conn) {
-	t.Helper()
-	hello, _ := json.Marshal(schemav1.Hello{Codec: schemav1.CodecBinary, Version: schemav1.Version})
-	if err := WriteMessage(conn, &Request{Method: NegotiateMethod, ID: "t-hello", Payload: hello}); err != nil {
-		t.Fatal(err)
-	}
-	var resp Response
-	if err := ReadMessage(conn, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Error != "" {
-		t.Fatalf("negotiation declined: %s", resp.Error)
+	resp := readBinaryResponse(t, bufio.NewReader(conn))
+	if len(resp.errMsg) != 0 || len(resp.id) != 0 || string(resp.payload) != `"bare"` {
+		t.Errorf("bare frame response = id %q err %q payload %q", resp.id, resp.errMsg, resp.payload)
 	}
 }
 
 // readBinaryResponse reads one frame and decodes it as a binary response.
 func readBinaryResponse(t *testing.T, br *bufio.Reader) binResponse {
 	t.Helper()
-	body, err := readFrame(br)
+	body, _, err := readFrameInto(br, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,10 +221,10 @@ func readBinaryResponse(t *testing.T, br *bufio.Reader) binResponse {
 	return resp
 }
 
-// Regression (stacked-codec hazard): a client that negotiates binary and
-// then sends a JSON frame mid-connection. Both codecs share the outer
-// framing, so the server must answer with an error response and keep the
-// connection serving — not desync or hang up.
+// Regression: a JSON frame mid-connection — from a peer that predates the
+// binary envelope, or a middlebox splicing streams. Every frame is
+// length-delimited, so the server must answer with an error response and
+// keep the connection serving — not desync or hang up.
 func TestBinaryServerRejectsJSONFrameMidConnection(t *testing.T) {
 	_, addr := startPayloadServer(t, ServerOptions{})
 	conn, err := net.Dial("tcp", addr)
@@ -257,34 +233,34 @@ func TestBinaryServerRejectsJSONFrameMidConnection(t *testing.T) {
 	}
 	defer conn.Close()
 	br := bufio.NewReader(conn)
-	negotiateRaw(t, conn)
+	put := func(id string) {
+		t.Helper()
+		payload := (&schemav1.KVPut{Key: "k", Value: 7, TTLMs: 1000}).AppendBinary(nil)
+		if _, err := conn.Write(requestFrame(reqFlagBinaryPayload|reqFlagAcceptBinary, "put", id, "", payload)); err != nil {
+			t.Fatal(err)
+		}
+		if resp := readBinaryResponse(t, br); len(resp.errMsg) != 0 || string(resp.id) != id {
+			t.Errorf("binary call %s: id=%q err=%q", id, resp.id, resp.errMsg)
+		}
+	}
+	put("bin-1")
 
-	// JSON frame on the now-binary connection, with an ID to echo.
-	payload, _ := json.Marshal("sneaky")
-	if err := WriteMessage(conn, &Request{Method: "echo", ID: "json-после", Payload: payload}); err != nil {
+	// JSON frame on the binary connection, with an ID to echo.
+	jreq, _ := json.Marshal(map[string]interface{}{"method": "echo", "id": "json-после", "payload": "sneaky"})
+	if _, err := conn.Write(frame(jreq)); err != nil {
 		t.Fatal(err)
 	}
 	resp := readBinaryResponse(t, br)
-	if !strings.Contains(string(resp.errMsg), "JSON frame on binary-negotiated connection") {
+	if !strings.Contains(string(resp.errMsg), "JSON frame") {
 		t.Fatalf("error = %q, want JSON-frame rejection", resp.errMsg)
 	}
 	if string(resp.id) != "json-после" {
 		t.Errorf("echoed id = %q, want the JSON request's id", resp.id)
 	}
 
-	// The connection must still serve a well-formed binary request: framing
-	// never desynced.
-	w := []byte{0, 0, 0, 0}
-	w = appendBinRequestHeader(w, reqFlagBinaryPayload|reqFlagAcceptBinary, "put", []byte("bin-1"), "")
-	w = (&schemav1.KVPut{Key: "k", Value: 7, TTLMs: 1000}).AppendBinary(w)
-	binary.BigEndian.PutUint32(w[:4], uint32(len(w)-4))
-	if _, err := conn.Write(w); err != nil {
-		t.Fatal(err)
-	}
-	resp = readBinaryResponse(t, br)
-	if len(resp.errMsg) != 0 || string(resp.id) != "bin-1" {
-		t.Errorf("post-rejection binary call: id=%q err=%q", resp.id, resp.errMsg)
-	}
+	// The connection must still serve a well-formed request: framing never
+	// desynced.
+	put("bin-2")
 }
 
 // A garbage binary envelope (complete frame, malformed body) gets an error
@@ -299,14 +275,10 @@ func TestBinaryServerRejectsTornAndOversizedFrames(t *testing.T) {
 	}
 	defer conn.Close()
 	br := bufio.NewReader(conn)
-	negotiateRaw(t, conn)
 
 	// Well-framed garbage: right kind byte, torn-off fields.
 	garbage := []byte{binKindRequest, 0x00, 0xFF} // method length promises 255 bytes that are not there
-	frame := make([]byte, 4+len(garbage))
-	binary.BigEndian.PutUint32(frame[:4], uint32(len(garbage)))
-	copy(frame[4:], garbage)
-	if _, err := conn.Write(frame); err != nil {
+	if _, err := conn.Write(frame(garbage)); err != nil {
 		t.Fatal(err)
 	}
 	resp := readBinaryResponse(t, br)
@@ -315,10 +287,7 @@ func TestBinaryServerRejectsTornAndOversizedFrames(t *testing.T) {
 	}
 
 	// Still serving.
-	w := []byte{0, 0, 0, 0}
-	w = appendBinRequestHeader(w, 0, "traceid", []byte("ok-1"), "")
-	binary.BigEndian.PutUint32(w[:4], uint32(len(w)-4))
-	if _, err := conn.Write(w); err != nil {
+	if _, err := conn.Write(requestFrame(0, "traceid", "ok-1", "", nil)); err != nil {
 		t.Fatal(err)
 	}
 	if resp := readBinaryResponse(t, br); len(resp.errMsg) != 0 {
@@ -341,77 +310,9 @@ func TestBinaryServerRejectsTornAndOversizedFrames(t *testing.T) {
 	}
 }
 
-// Offering binary to a server that answers every negotiation with an error
-// (a stand-in for pre-negotiation servers, which answer "unknown method")
-// falls back to JSON without surfacing any error to the caller.
-func TestNegotiationFallbackToJSON(t *testing.T) {
-	// DisableBinary makes the server decline _negotiate with an error
-	// response — the same shape an old server produces for an unknown
-	// method — so the client must fall back to JSON silently.
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy := NewServerOpts(l, func(method string, payload json.RawMessage) (interface{}, error) {
-		return nil, fmt.Errorf("unknown method %q", method)
-	}, ServerOptions{DisableBinary: true})
-	defer legacy.Close()
-
-	c, err := DialOpts(l.Addr().String(), ClientOptions{Codec: CodecBinary})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if got := c.NegotiatedCodec(); got != CodecJSON {
-		t.Errorf("negotiated = %v, want json fallback", got)
-	}
-	var s string
-	if err := c.Call("any", "x", &s); err == nil {
-		t.Error("legacy handler should error on unknown methods")
-	}
-}
-
-// Re-dials re-negotiate: after the connection breaks, the next call on a
-// binary client comes back up in binary.
-func TestRenegotiateAfterReconnect(t *testing.T) {
-	srv, addr := startPayloadServer(t, ServerOptions{})
-	c, err := DialOpts(addr, ClientOptions{Codec: CodecBinary, MinBackoff: time.Millisecond, MaxBackoff: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Call("put", &schemav1.KVPut{Key: "a", Value: 1}, nil); err != nil {
-		t.Fatal(err)
-	}
-	// Break every live server-side connection; the client's next call fails
-	// transiently, the one after re-dials and re-negotiates.
-	srv.mu.Lock()
-	for conn := range srv.conns {
-		conn.Close()
-	}
-	srv.mu.Unlock()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		err := c.Call("put", &schemav1.KVPut{Key: "b", Value: 2}, nil)
-		if err == nil {
-			break
-		}
-		if !IsTransient(err) {
-			t.Fatalf("permanent error during reconnect: %v", err)
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("client never recovered: %v", err)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if got := c.NegotiatedCodec(); got != CodecBinary {
-		t.Errorf("post-reconnect codec = %v, want binary", got)
-	}
-}
-
-// Cross-codec golden: the same semantic call must produce identical decoded
-// results through both codecs, and the binary envelope encoding itself is
-// pinned byte for byte.
+// Cross-codec golden: the same semantic call produces identical decoded
+// results whether its payloads ride schema-binary or JSON inside the
+// envelope, and the envelope encoding itself is pinned byte for byte.
 func TestCrossCodecGolden(t *testing.T) {
 	type result struct {
 		get     schemav1.KVGetReply
@@ -419,20 +320,27 @@ func TestCrossCodecGolden(t *testing.T) {
 		failMsg string
 		shedRA  time.Duration
 	}
-	run := func(codec Codec) result {
+	run := func(binaryPayloads bool) result {
 		_, addr := startPayloadServer(t, ServerOptions{})
-		c, err := DialOpts(addr, ClientOptions{Codec: codec})
+		c, err := Dial(addr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer c.Close()
 		var r result
-		if err := c.Call("put", &schemav1.KVPut{Key: "golden", Value: 12.25, TTLMs: 9000}, nil); err != nil {
+		var put, key interface{} = map[string]interface{}{"key": "golden", "value": 12.25, "ttl_ms": 9000}, jsonKVKey{Key: "golden"}
+		reply, got := jsonGetReply()
+		if binaryPayloads {
+			put, key = &schemav1.KVPut{Key: "golden", Value: 12.25, TTLMs: 9000}, &schemav1.KVKey{Key: "golden"}
+			reply, got = binaryGetReply()
+		}
+		if err := c.Call("put", put, nil); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Call("get", &schemav1.KVKey{Key: "golden"}, &r.get); err != nil {
+		if err := c.Call("get", key, reply); err != nil {
 			t.Fatal(err)
 		}
+		r.get = got()
 		if err := c.Call("echo", "同じ", &r.echo); err != nil {
 			t.Fatal(err)
 		}
@@ -446,10 +354,10 @@ func TestCrossCodecGolden(t *testing.T) {
 		}
 		return r
 	}
-	jr := run(CodecJSON)
-	br := run(CodecBinary)
+	jr := run(false)
+	br := run(true)
 	if jr != br {
-		t.Errorf("codec semantics diverge:\njson   = %+v\nbinary = %+v", jr, br)
+		t.Errorf("payload codec semantics diverge:\njson   = %+v\nbinary = %+v", jr, br)
 	}
 
 	// Pinned envelope bytes: a change here is a wire format break.
@@ -530,21 +438,6 @@ func FuzzBinaryFrameDecode(f *testing.F) {
 
 // --- small coverage pins for the error and helper surfaces -----------------
 
-func TestCodecParseAndString(t *testing.T) {
-	if CodecJSON.String() != "json" || CodecBinary.String() != "binary" {
-		t.Error("codec strings")
-	}
-	if c, err := ParseCodec("binary"); err != nil || c != CodecBinary {
-		t.Errorf("ParseCodec(binary) = %v, %v", c, err)
-	}
-	if c, err := ParseCodec("json"); err != nil || c != CodecJSON {
-		t.Errorf("ParseCodec(json) = %v, %v", c, err)
-	}
-	if _, err := ParseCodec("protobuf"); err == nil {
-		t.Error("unknown codec accepted")
-	}
-}
-
 func TestOverloadedUnwrapAndErrors(t *testing.T) {
 	base := errors.New("base")
 	ov := &Overloaded{Err: base, RetryAfter: time.Second}
@@ -574,9 +467,9 @@ func TestOverloadedUnwrapAndErrors(t *testing.T) {
 }
 
 func TestPayloadDecodeErrors(t *testing.T) {
-	p := BinaryPayload((&schemav1.KVKey{Key: "x"}).AppendBinary(nil))
-	if !p.IsBinary() || p.Empty() {
-		t.Error("BinaryPayload flags")
+	p := Payload{data: (&schemav1.KVKey{Key: "x"}).AppendBinary(nil), binary: true}
+	if p.Empty() || !(Payload{}).Empty() {
+		t.Error("Payload.Empty")
 	}
 	var s string
 	if err := p.Decode(&s); err == nil || !strings.Contains(err.Error(), "no binary codec") {
@@ -586,16 +479,13 @@ func TestPayloadDecodeErrors(t *testing.T) {
 	if err := p.Decode(&k); err != nil || k.Key != "x" {
 		t.Errorf("binary decode = %+v, %v", k, err)
 	}
-	jp := JSONPayload([]byte(`{"key":"y"}`))
+	jp := Payload{data: []byte(`{"key":"y"}`)}
 	var k2 schemav1.KVKey
 	if err := jp.Decode(&k2); err != nil || k2.Key != "y" {
 		t.Errorf("json decode = %+v, %v", k2, err)
 	}
-	if err := JSONPayload([]byte("{")).Decode(&k2); err == nil {
+	if err := (Payload{data: []byte("{")}).Decode(&k2); err == nil {
 		t.Error("malformed JSON payload accepted")
-	}
-	if !bytes.Equal(jp.Bytes(), []byte(`{"key":"y"}`)) {
-		t.Error("Payload.Bytes")
 	}
 }
 

@@ -1,8 +1,8 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"entitlement/internal/obs/trace"
 )
 
 // fastOptions keep failure tests quick.
@@ -106,11 +108,7 @@ func TestClientReconnectsAfterServerRestart(t *testing.T) {
 	if err != nil {
 		t.Fatalf("rebind %s: %v", addr, err)
 	}
-	srv2 := NewServer(l, func(method string, payload json.RawMessage) (interface{}, error) {
-		var s string
-		json.Unmarshal(payload, &s)
-		return s, nil
-	})
+	srv2 := NewServer(l, echoHandler, ServerOptions{})
 	defer srv2.Close()
 	deadline := time.Now().Add(2 * time.Second)
 	for {
@@ -125,6 +123,13 @@ func TestClientReconnectsAfterServerRestart(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+}
+
+// echoHandler answers every method with its string payload.
+func echoHandler(_ trace.Context, _ string, p Payload) (interface{}, error) {
+	var s string
+	p.Decode(&s)
+	return s, nil
 }
 
 // rawDial opens a plain TCP connection to the server for protocol abuse.
@@ -146,11 +151,7 @@ func TestServerRejectsOversizedFrameWithError(t *testing.T) {
 	if _, err := conn.Write(hdr[:]); err != nil {
 		t.Fatal(err)
 	}
-	var resp Response
-	if err := ReadMessage(conn, &resp); err != nil {
-		t.Fatalf("no error response for oversized frame: %v", err)
-	}
-	if resp.Error == "" {
+	if resp := readBinaryResponse(t, bufio.NewReader(conn)); len(resp.errMsg) == 0 {
 		t.Fatal("oversized frame got a success response")
 	}
 	// The connection must then close: the stream cannot resync.
@@ -160,33 +161,23 @@ func TestServerRejectsOversizedFrameWithError(t *testing.T) {
 	}
 }
 
-func TestServerAnswersMalformedJSONAndKeepsServing(t *testing.T) {
+func TestServerAnswersGarbageFrameAndKeepsServing(t *testing.T) {
 	_, addr := startEchoServer(t)
 	conn := rawDial(t, addr)
-	// Frame a payload that is not JSON at all.
-	bad := []byte("{not json")
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(bad)))
-	if _, err := conn.Write(append(hdr[:], bad...)); err != nil {
+	br := bufio.NewReader(conn)
+	// Frame a body that is no envelope at all.
+	if _, err := conn.Write(frame([]byte("\x7fnot an envelope"))); err != nil {
 		t.Fatal(err)
 	}
-	var resp Response
-	if err := ReadMessage(conn, &resp); err != nil {
-		t.Fatalf("no response to malformed request: %v", err)
-	}
-	if resp.Error == "" {
-		t.Fatal("malformed request got a success response")
+	if resp := readBinaryResponse(t, br); len(resp.errMsg) == 0 {
+		t.Fatal("garbage request got a success response")
 	}
 	// Framing was intact, so the same connection keeps working.
-	if err := WriteMessage(conn, &Request{Method: "echo", Payload: json.RawMessage(`"ok"`)}); err != nil {
+	if _, err := conn.Write(requestFrame(0, "echo", "", "", []byte(`"ok"`))); err != nil {
 		t.Fatal(err)
 	}
-	var resp2 Response
-	if err := ReadMessage(conn, &resp2); err != nil {
-		t.Fatal(err)
-	}
-	if resp2.Error != "" {
-		t.Fatalf("follow-up request failed: %s", resp2.Error)
+	if resp := readBinaryResponse(t, br); len(resp.errMsg) != 0 || string(resp.payload) != `"ok"` {
+		t.Fatalf("follow-up request: err %q payload %q", resp.errMsg, resp.payload)
 	}
 }
 
@@ -195,7 +186,7 @@ func TestServerReadIdleTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServerOpts(l, func(string, json.RawMessage) (interface{}, error) {
+	srv := NewServer(l, func(trace.Context, string, Payload) (interface{}, error) {
 		return nil, nil
 	}, ServerOptions{ReadIdleTimeout: 100 * time.Millisecond})
 	defer srv.Close()
@@ -241,10 +232,10 @@ func TestCloseRacingInFlightCall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(l, func(string, json.RawMessage) (interface{}, error) {
+	srv := NewServer(l, func(trace.Context, string, Payload) (interface{}, error) {
 		time.Sleep(300 * time.Millisecond)
 		return "late", nil
-	})
+	}, ServerOptions{})
 	defer srv.Close()
 
 	for i := 0; i < 4; i++ {
@@ -305,13 +296,13 @@ func TestConcurrentClientsWithFailures(t *testing.T) {
 	if err != nil {
 		t.Fatalf("rebind: %v", err)
 	}
-	srv2 := NewServer(l, func(method string, payload json.RawMessage) (interface{}, error) {
+	srv2 := NewServer(l, func(_ trace.Context, _ string, p Payload) (interface{}, error) {
 		var args [2]int
-		if err := json.Unmarshal(payload, &args); err != nil {
+		if err := p.Decode(&args); err != nil {
 			return nil, err
 		}
 		return args[0] + args[1], nil
-	})
+	}, ServerOptions{})
 	defer srv2.Close()
 	time.Sleep(200 * time.Millisecond)
 	close(stop)
@@ -350,11 +341,7 @@ func TestConnectLazyDialsWhenServerAppears(t *testing.T) {
 	if err != nil {
 		t.Fatalf("rebind: %v", err)
 	}
-	srv := NewServer(l2, func(method string, payload json.RawMessage) (interface{}, error) {
-		var s string
-		json.Unmarshal(payload, &s)
-		return s, nil
-	})
+	srv := NewServer(l2, echoHandler, ServerOptions{})
 	defer srv.Close()
 	var s string
 	deadline := time.Now().Add(2 * time.Second)

@@ -32,9 +32,6 @@ var (
 	mClientBroken     = obs.RegisterCounter("entitlement_wire_client_broken_total", "Connections marked broken after an in-flight transport failure.")
 	mClientBackoff    = obs.RegisterCounter("entitlement_wire_client_backoff_rejects_total", "Calls rejected fast because the re-dial backoff gate was closed.")
 
-	mClientNegotiated = obs.RegisterCounterVec("entitlement_wire_client_negotiations_total", "Codec negotiation outcomes on client dials that offered binary, by resulting codec (binary, json).", "codec")
-	mServerNegotiated = obs.RegisterCounterVec("entitlement_wire_server_negotiations_total", "Codec negotiation requests answered by wire servers, by resulting codec (binary, json).", "codec")
-
 	mClientInflight = obs.RegisterGauge("entitlement_wire_client_inflight_calls", "Wire client calls currently in flight.")
 	mClientBytesOut = obs.RegisterCounter("entitlement_wire_client_bytes_sent_total", "Request bytes written by wire clients, including frame headers.")
 	mClientBytesIn  = obs.RegisterCounter("entitlement_wire_client_bytes_received_total", "Response bytes read by wire clients, including frame headers.")

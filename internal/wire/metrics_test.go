@@ -8,7 +8,6 @@ package wire_test
 // a real scraper sees), not package internals. Runs under -race in CI.
 
 import (
-	"encoding/json"
 	"net"
 	"strings"
 	"testing"
@@ -16,6 +15,7 @@ import (
 
 	"entitlement/internal/faults"
 	"entitlement/internal/obs"
+	"entitlement/internal/obs/trace"
 	"entitlement/internal/wire"
 )
 
@@ -37,9 +37,9 @@ func echoServer(t *testing.T) *wire.Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return wire.NewServer(l, func(method string, payload json.RawMessage) (interface{}, error) {
+	return wire.NewServer(l, func(_ trace.Context, method string, _ wire.Payload) (interface{}, error) {
 		return map[string]string{"echo": method}, nil
-	})
+	}, wire.ServerOptions{})
 }
 
 func TestClientMetricsExactUnderScriptedCuts(t *testing.T) {

@@ -1,13 +1,14 @@
 package wire
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
 	"strings"
 	"testing"
 	"time"
+
+	"entitlement/internal/obs/trace"
 )
 
 // TestOverloadRoundTrip pins the shed-classification path over a real
@@ -21,7 +22,7 @@ func TestOverloadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	sentinel := errors.New("queue full")
-	srv := NewServer(l, func(method string, payload json.RawMessage) (interface{}, error) {
+	srv := NewServer(l, func(_ trace.Context, method string, _ Payload) (interface{}, error) {
 		switch method {
 		case "shed":
 			return nil, &Overloaded{
@@ -34,7 +35,7 @@ func TestOverloadRoundTrip(t *testing.T) {
 			return nil, errors.New("deliberate failure")
 		}
 		return nil, fmt.Errorf("unknown method %q", method)
-	})
+	}, ServerOptions{})
 	defer srv.Close()
 
 	c, err := Dial(l.Addr().String())

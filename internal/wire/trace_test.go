@@ -1,8 +1,8 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -38,6 +38,9 @@ func debugLogger(w *syncBuffer) *slog.Logger {
 	return slog.New(slog.NewTextHandler(w, &slog.HandlerOptions{Level: slog.LevelDebug}))
 }
 
+// nopHandler answers every request with an empty success.
+func nopHandler(trace.Context, string, Payload) (interface{}, error) { return nil, nil }
+
 var requestIDRE = regexp.MustCompile(`request_id=(\S+)`)
 
 // TestRequestIDPropagatedToLogs is the trace-propagation contract: for one
@@ -49,7 +52,7 @@ func TestRequestIDPropagatedToLogs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServerOpts(l, func(method string, _ json.RawMessage) (interface{}, error) {
+	srv := NewServer(l, func(_ trace.Context, method string, _ Payload) (interface{}, error) {
 		return map[string]string{"pong": method}, nil
 	}, ServerOptions{Logger: debugLogger(&serverLog)})
 	defer srv.Close()
@@ -86,7 +89,7 @@ func TestSetTracePrefixesRequestIDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(l, func(string, json.RawMessage) (interface{}, error) { return nil, nil })
+	srv := NewServer(l, nopHandler, ServerOptions{})
 	defer srv.Close()
 	c, err := DialOpts(l.Addr().String(), ClientOptions{Logger: debugLogger(&clientLog)})
 	if err != nil {
@@ -130,7 +133,7 @@ func TestCallPropagatesSpanTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	var handlerCtx trace.Context
-	srv := NewServerCtx(l, func(tc trace.Context, method string, _ json.RawMessage) (interface{}, error) {
+	srv := NewServer(l, func(tc trace.Context, method string, _ Payload) (interface{}, error) {
 		handlerCtx = tc
 		return nil, nil
 	}, ServerOptions{Service: "srv"})
@@ -148,7 +151,7 @@ func TestCallPropagatesSpanTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !handlerCtx.Valid() {
-		t.Fatal("CtxHandler received a zero trace context for a traced call")
+		t.Fatal("handler received a zero trace context for a traced call")
 	}
 	if handlerCtx.TraceID() != root.TraceID() {
 		t.Fatalf("handler context is on trace %s, caller is on %s", handlerCtx.TraceID(), root.TraceID())
@@ -196,7 +199,7 @@ func TestSetTraceRaceWithConcurrentCalls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(l, func(string, json.RawMessage) (interface{}, error) { return nil, nil })
+	srv := NewServer(l, nopHandler, ServerOptions{})
 	defer srv.Close()
 	c, err := DialOpts(l.Addr().String(), ClientOptions{})
 	if err != nil {
@@ -254,9 +257,9 @@ func TestRequestIDOnErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(l, func(method string, _ json.RawMessage) (interface{}, error) {
+	srv := NewServer(l, func(trace.Context, string, Payload) (interface{}, error) {
 		return nil, fmt.Errorf("handler says no")
-	})
+	}, ServerOptions{})
 	c, err := Dial(l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -297,11 +300,10 @@ func TestResponseIDMismatchBreaksConnection(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		var req Request
-		if err := ReadMessage(server, &req); err != nil {
+		if _, _, err := readFrameInto(bufio.NewReader(server), nil); err != nil {
 			return
 		}
-		WriteMessage(server, &Response{ID: "not-your-request"})
+		server.Write(frame(appendBinResponseHeader(nil, 0, []byte("not-your-request"), "", 0)))
 	}()
 	c := NewClient(client)
 	defer c.Close()

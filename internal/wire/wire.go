@@ -1,13 +1,15 @@
 // Package wire provides the framing and tiny RPC layer the run-time
-// enforcement components speak over TCP: length-prefixed JSON messages, a
+// enforcement components speak over TCP: one length-prefixed binary
 // request/response envelope, a connection-per-client server loop, and a
-// serialized client. The contract database and the distributed rate store
-// both build on it.
+// serialized client. The rate store, the contract database and the
+// granting service all build on it.
 //
-// The protocol is deliberately minimal: 4-byte big-endian length followed by
-// a JSON body, capped at MaxMessageSize. Control-plane traffic here is tiny
-// (agents exchange a handful of rates per cycle), so clarity wins over
-// compactness.
+// Every frame is a 4-byte big-endian length followed by a binary envelope
+// (binary.go has the layout), capped at MaxMessageSize. The payload inside
+// the envelope is schema-binary for the shapes that have a binary codec
+// (the per-cycle publish and entitlement fetch) and JSON for everything
+// else (the granting plane's contract-bearing messages). A client's first
+// Call is the first frame on a new connection: there is no handshake.
 //
 // The client is built for an unreliable fleet: every call carries a
 // deadline, a connection that fails mid-call is marked broken (so framing
@@ -30,9 +32,8 @@
 // client, every Call then starts a wire.call child span and propagates its
 // context in the frame's optional Trace field, and the server parents a
 // wire.serve span under it — so one operation's RPC fan-out is a single
-// span tree across processes, not just a grep-able token. Requests without
-// a Trace field behave exactly as before; the field is JSON-omitted when
-// empty, keeping the frame byte-compatible with old peers.
+// span tree across processes, not just a grep-able token. An empty Trace
+// field costs one length byte and leaves the request untraced.
 package wire
 
 import (
@@ -150,7 +151,7 @@ func IsTransient(err error) bool {
 	if errors.Is(err, ErrMessageTooLarge) || errors.Is(err, ErrClientClosed) {
 		return false
 	}
-	// Raw transport errors from direct ReadMessage/WriteMessage use.
+	// Raw transport errors that reached the caller unwrapped.
 	var ne net.Error
 	if errors.As(err, &ne) {
 		return true
@@ -159,99 +160,15 @@ func IsTransient(err error) bool {
 		errors.Is(err, net.ErrClosed) || errors.Is(err, ErrBrokenConn)
 }
 
-// WriteMessage marshals v as JSON and writes one length-prefixed frame.
-func WriteMessage(w io.Writer, v interface{}) error {
-	_, err := writeMessageN(w, v)
-	return err
-}
-
-// writeMessageN is WriteMessage returning the frame size (header + body)
-// so callers can maintain byte counters without re-marshaling.
-func writeMessageN(w io.Writer, v interface{}) (int, error) {
-	body, err := json.Marshal(v)
-	if err != nil {
-		return 0, fmt.Errorf("wire: marshal: %w", err)
-	}
-	if len(body) > MaxMessageSize {
-		return 0, ErrMessageTooLarge
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return 0, err
-	}
-	if _, err := w.Write(body); err != nil {
-		return 0, err
-	}
-	return 4 + len(body), nil
-}
-
-// readFrame reads one length-prefixed frame body. The frame header has been
-// consumed even when the frame is oversized, so the stream is desynced after
-// ErrMessageTooLarge; callers must drop the connection.
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxMessageSize {
-		return nil, ErrMessageTooLarge
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, err
-	}
-	return body, nil
-}
-
-// ReadMessage reads one frame and unmarshals it into v.
-func ReadMessage(r io.Reader, v interface{}) error {
-	body, err := readFrame(r)
-	if err != nil {
-		return err
-	}
-	if err := json.Unmarshal(body, v); err != nil {
-		return fmt.Errorf("wire: unmarshal: %w", err)
-	}
-	return nil
-}
-
-// Request is the RPC envelope sent by clients. The shape is a versioned
-// schema contract — it lives in schema/v1 and is fingerprint-pinned by
-// `make vet-schema`; this alias keeps the wire package's historical API.
-type Request = schemav1.Request
-
-// Response is the RPC envelope returned by servers (schema/v1 contract,
-// aliased like Request).
-type Response = schemav1.Response
-
-// jsonUnmarshalPayload decodes JSON payload bytes with the wire error
-// prefix handlers and clients have always reported.
-func jsonUnmarshalPayload(data []byte, v interface{}) error {
-	if err := json.Unmarshal(data, v); err != nil {
-		return fmt.Errorf("wire: unmarshal payload: %w", err)
-	}
-	return nil
-}
-
-// Handler processes one request; the returned value is marshaled into the
-// response payload.
-type Handler func(method string, payload json.RawMessage) (interface{}, error)
-
-// CtxHandler is a Handler that also receives the server-side span context
-// for the request (zero when the request carried no trace), so handlers can
-// parent their own spans — queue wait, decision, journal write — under the
-// wire.serve span instead of starting a fresh trace.
-type CtxHandler func(tc trace.Context, method string, payload json.RawMessage) (interface{}, error)
-
-// PayloadHandler is the codec-aware handler flavor: the payload arrives with
-// its encoding intact (Payload.Decode picks JSON or schema-binary), and the
-// result is re-encoded in the connection's codec — schema-binary when it
-// implements schemav1.AppendMarshaler and the client offered to accept it,
-// JSON otherwise. Binary payloads alias the connection's frame buffer and
-// are valid only for the duration of the call (see Payload).
-type PayloadHandler func(tc trace.Context, method string, p Payload) (interface{}, error)
+// Handler processes one request. The payload arrives with its encoding
+// intact (Payload.Decode picks JSON or schema-binary), and the result is
+// encoded schema-binary when it implements schemav1.AppendMarshaler and the
+// client offered to accept it, JSON otherwise. The span context is the
+// request's wire.serve span (zero when the request carried no trace), so
+// handlers can parent their own spans — queue wait, decision, journal
+// write — under it. Binary payloads alias the connection's frame buffer
+// and are valid only for the duration of the call (see Payload).
+type Handler func(tc trace.Context, method string, p Payload) (interface{}, error)
 
 // ServerOptions harden a server against misbehaving peers.
 type ServerOptions struct {
@@ -267,19 +184,13 @@ type ServerOptions struct {
 	// Service labels this server's wire.serve spans (e.g. "contractdb").
 	// Empty leaves the span on the process-wide collector default.
 	Service string
-	// DisableBinary declines codec negotiation, pinning every connection to
-	// JSON. Offering clients fall back transparently; the compat tests use
-	// this to stand in for servers that predate the binary codec.
-	DisableBinary bool
 }
 
 // Server accepts connections and dispatches requests to a Handler.
 type Server struct {
-	listener       net.Listener
-	handler        Handler
-	ctxHandler     CtxHandler     // set instead of handler by NewServerCtx
-	payloadHandler PayloadHandler // set instead of both by NewServerPayload
-	opts           ServerOptions
+	listener net.Listener
+	handler  Handler
+	opts     ServerOptions
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -287,66 +198,13 @@ type Server struct {
 	wg     sync.WaitGroup
 }
 
-// NewServer starts serving on l with h. It returns immediately; use Close to
-// stop.
-func NewServer(l net.Listener, h Handler) *Server {
-	return NewServerOpts(l, h, ServerOptions{})
-}
-
-// NewServerOpts starts serving on l with h and explicit hardening options.
-func NewServerOpts(l net.Listener, h Handler, opts ServerOptions) *Server {
+// NewServer starts serving on l with h and the given hardening options. It
+// returns immediately; use Close to stop.
+func NewServer(l net.Listener, h Handler, opts ServerOptions) *Server {
 	s := &Server{listener: l, handler: h, opts: opts, conns: make(map[net.Conn]struct{})}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s
-}
-
-// NewServerCtx is NewServerOpts for trace-aware handlers: h receives the
-// span context of the request's wire.serve span, letting the handler grow
-// the same trace across its internal phases.
-func NewServerCtx(l net.Listener, h CtxHandler, opts ServerOptions) *Server {
-	s := &Server{listener: l, ctxHandler: h, opts: opts, conns: make(map[net.Conn]struct{})}
-	s.wg.Add(1)
-	go s.acceptLoop()
-	return s
-}
-
-// NewServerPayload is NewServerOpts for codec-aware handlers: required for
-// services whose methods accept schema-binary payloads (legacy handlers on
-// this server would reject them), and the only flavor whose hot path can be
-// allocation-free end to end.
-func NewServerPayload(l net.Listener, h PayloadHandler, opts ServerOptions) *Server {
-	s := &Server{listener: l, payloadHandler: h, opts: opts, conns: make(map[net.Conn]struct{})}
-	s.wg.Add(1)
-	go s.acceptLoop()
-	return s
-}
-
-// dispatch invokes whichever JSON-era handler flavor the server was built
-// with.
-func (s *Server) dispatch(tc trace.Context, method string, payload json.RawMessage) (interface{}, error) {
-	if s.ctxHandler != nil {
-		return s.ctxHandler(tc, method, payload)
-	}
-	return s.handler(method, payload)
-}
-
-// dispatchPayload routes one request to the server's handler. Payload-aware
-// servers see the payload with its codec intact; the legacy flavors only
-// understand JSON, so a schema-binary payload aimed at one is answered with
-// a clean error rather than fed through as garbled JSON.
-func (s *Server) dispatchPayload(tc trace.Context, method string, p Payload) (interface{}, error) {
-	if s.payloadHandler != nil {
-		return s.payloadHandler(tc, method, p)
-	}
-	if p.IsBinary() {
-		return nil, fmt.Errorf("wire: method %q has no binary payload codec on this server", method)
-	}
-	var raw json.RawMessage
-	if !p.Empty() {
-		raw = json.RawMessage(p.Bytes())
-	}
-	return s.dispatch(tc, method, raw)
 }
 
 // Addr returns the listener address.
@@ -382,22 +240,19 @@ func (s *Server) serveConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	sc := &serverConn{s: s, conn: conn, br: bufio.NewReader(conn), bw: bufio.NewWriter(conn)}
-	sc.serveJSON()
+	sc := &serverConn{s: s, conn: conn, br: bufio.NewReader(conn), methods: make(map[string]string)}
+	sc.serve()
 }
 
-// serverConn is one connection's serving state: which codec it negotiated
-// plus the reusable scratch the binary loop needs to handle a request
-// without allocating.
+// serverConn is one connection's serving state: the reusable scratch the
+// loop needs to handle a request without allocating. Frames are read into
+// rbuf, responses built in wbuf, and methods interns method-name strings so
+// steady-state dispatch allocates for neither the frame nor the name.
 type serverConn struct {
 	s    *Server
 	conn net.Conn
 	br   *bufio.Reader
-	bw   *bufio.Writer
 
-	// Binary-mode scratch: frames are read into rbuf, responses built in
-	// wbuf, and methods interns method-name strings so steady-state
-	// dispatch allocates for neither the frame nor the name.
 	rbuf, wbuf []byte
 	methods    map[string]string
 }
@@ -406,159 +261,12 @@ type serverConn struct {
 // inventing method names cannot grow it without bound.
 const maxInternedMethods = 64
 
-// serveJSON is the connection's initial (and default) loop: length-prefixed
-// JSON frames, exactly the protocol every peer has spoken since the first
-// release. A "_negotiate" request may upgrade the connection to the binary
-// loop; everything else dispatches as before.
-func (sc *serverConn) serveJSON() {
+// serve reads binary envelopes into the connection's reusable frame buffer
+// until the peer hangs up. Every frame is length-delimited, so even a
+// malformed body is consumed whole — the loop answers it with an error
+// response and keeps serving instead of desyncing.
+func (sc *serverConn) serve() {
 	s := sc.s
-	conn, br, bw := sc.conn, sc.br, sc.bw
-	respond := func(resp *Response) bool {
-		n, err := writeMessageN(bw, resp)
-		if err != nil {
-			return false
-		}
-		if bw.Flush() != nil {
-			return false
-		}
-		mServerBytesOut.Add(int64(n))
-		return true
-	}
-	for {
-		if s.opts.ReadIdleTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(s.opts.ReadIdleTimeout))
-		}
-		body, err := readFrame(br)
-		if errors.Is(err, ErrMessageTooLarge) {
-			// Tell the peer what went wrong before hanging up; the frame
-			// header promised more bytes than we will read, so the stream
-			// cannot be resynced and the connection must die.
-			mServerErrors.Inc()
-			respond(&Response{Error: ErrMessageTooLarge.Error()})
-			return
-		}
-		if err != nil {
-			return
-		}
-		mServerBytesIn.Add(int64(4 + len(body)))
-		var req Request
-		if err := json.Unmarshal(body, &req); err != nil {
-			// Framing is intact (the whole body was consumed), so answer
-			// the error and keep serving.
-			mServerErrors.Inc()
-			if !respond(&Response{Error: fmt.Sprintf("wire: bad request: %v", err)}) {
-				return
-			}
-			continue
-		}
-		if req.Method == NegotiateMethod {
-			upgraded, ok := sc.negotiate(&req, respond)
-			if !ok {
-				return
-			}
-			if upgraded {
-				sc.serveBinary()
-				return
-			}
-			continue
-		}
-		mServerRequests.With(req.Method).Inc()
-		resp := Response{ID: req.ID} // echo the request ID for correlation
-		// A traced request grows a wire.serve span under the client's
-		// wire.call span; the handler's own spans parent under ours via the
-		// CtxHandler context. Untraced requests cost one failed Parse.
-		var sp trace.Span
-		if tc, ok := trace.Parse(req.Trace); ok {
-			sp = trace.Default().StartChild(tc, "wire.serve."+req.Method)
-			if s.opts.Service != "" {
-				sp.SetService(s.opts.Service)
-			}
-			sp.Annotate(req.ID)
-		}
-		mServerInflight.Inc()
-		start := time.Now()
-		result, err := s.dispatchPayload(sp.Context(), req.Method, JSONPayload(req.Payload))
-		took := time.Since(start)
-		mServerInflight.Dec()
-		if err != nil {
-			mServerErrors.Inc()
-			resp.Error = err.Error()
-			var ov *Overloaded
-			if errors.As(err, &ov) {
-				resp.Retryable = true
-				resp.RetryAfterMS = ov.RetryAfter.Milliseconds()
-				sp.Flag(trace.FlagShed)
-			}
-			sp.SetError(err)
-		} else if result != nil {
-			body, merr := json.Marshal(result)
-			if merr != nil {
-				mServerErrors.Inc()
-				resp.Error = merr.Error()
-				err = merr
-			} else {
-				resp.Payload = body
-			}
-		}
-		if l := s.opts.Logger; l != nil {
-			attrs := []any{
-				slog.String("method", req.Method),
-				slog.String("request_id", req.ID),
-				slog.Duration("took", took),
-			}
-			if err != nil {
-				l.Warn("wire.serve", append(attrs, slog.Any("err", err))...)
-			} else {
-				l.Debug("wire.serve", attrs...)
-			}
-		}
-		sp.Finish()
-		if !respond(&resp) {
-			return
-		}
-	}
-}
-
-// negotiate answers one "_negotiate" request. It returns (upgraded,
-// connAlive): an accepted offer switches the connection to the binary loop;
-// a declined one (disabled, unknown codec, version mismatch) is answered
-// with an error response — exactly what an old server would say to an
-// unknown method — and the connection stays on JSON.
-func (sc *serverConn) negotiate(req *Request, respond func(*Response) bool) (bool, bool) {
-	mServerRequests.With(NegotiateMethod).Inc()
-	resp := Response{ID: req.ID}
-	var hello schemav1.Hello
-	accepted := false
-	if err := json.Unmarshal(req.Payload, &hello); err != nil {
-		resp.Error = fmt.Sprintf("wire: bad negotiation payload: %v", err)
-	} else if sc.s.opts.DisableBinary {
-		resp.Error = "wire: binary codec disabled on this server"
-	} else if hello.Codec != schemav1.CodecBinary || hello.Version != schemav1.Version {
-		resp.Error = fmt.Sprintf("wire: unsupported codec %q v%d", hello.Codec, hello.Version)
-	} else {
-		reply, err := json.Marshal(schemav1.HelloReply{Codec: schemav1.CodecBinary, Version: schemav1.Version})
-		if err != nil {
-			resp.Error = err.Error()
-		} else {
-			resp.Payload = reply
-			accepted = true
-		}
-	}
-	if accepted {
-		mServerNegotiated.With("binary").Inc()
-	} else {
-		mServerNegotiated.With("json").Inc()
-	}
-	return accepted, respond(&resp)
-}
-
-// serveBinary is the post-negotiation loop: binary envelopes read into the
-// connection's reusable frame buffer. Both codecs share the outer framing,
-// so even a frame in the wrong codec is consumed whole — the loop answers
-// it with an error response and keeps serving instead of desyncing.
-func (sc *serverConn) serveBinary() {
-	s := sc.s
-	sc.methods = make(map[string]string)
 	for {
 		if s.opts.ReadIdleTimeout > 0 {
 			sc.conn.SetReadDeadline(time.Now().Add(s.opts.ReadIdleTimeout))
@@ -566,42 +274,43 @@ func (sc *serverConn) serveBinary() {
 		body, rbuf, err := readFrameInto(sc.br, sc.rbuf)
 		sc.rbuf = rbuf
 		if errors.Is(err, ErrMessageTooLarge) {
-			// Same as the JSON loop: the header promised more bytes than we
-			// will read, so answer and hang up.
+			// Tell the peer what went wrong before hanging up: the header
+			// promised more bytes than we will read, so the stream cannot
+			// be resynced and the connection must die.
 			mServerErrors.Inc()
-			sc.writeBinaryError(nil, ErrMessageTooLarge.Error())
+			sc.writeError(nil, ErrMessageTooLarge.Error())
 			return
 		}
 		if err != nil {
 			return
 		}
 		mServerBytesIn.Add(int64(4 + len(body)))
-		if !sc.serveBinaryFrame(body) {
+		if !sc.serveFrame(body) {
 			return
 		}
 	}
 }
 
-// serveBinaryFrame handles one length-delimited frame on a binary-negotiated
-// connection, returning false when the connection must close.
-func (sc *serverConn) serveBinaryFrame(body []byte) bool {
+// serveFrame handles one length-delimited frame, returning false when the
+// connection must close.
+func (sc *serverConn) serveFrame(body []byte) bool {
 	s := sc.s
 	req, derr := decodeBinRequest(body)
 	if derr != nil {
 		mServerErrors.Inc()
 		if len(body) > 0 && body[0] == '{' {
-			// A JSON frame after binary negotiation: a confused client or a
+			// A JSON frame: a peer from before the binary envelope, or a
 			// middlebox splicing streams. Framing is intact (the body was
 			// length-delimited), so reject it without desyncing — and echo
 			// the request ID when the body parses, so the sender can
 			// correlate the rejection.
-			var jreq Request
-			if json.Unmarshal(body, &jreq) == nil && jreq.ID != "" {
-				return sc.writeBinaryError([]byte(jreq.ID), "wire: received JSON frame on binary-negotiated connection")
+			var jreq struct {
+				ID string `json:"id"`
 			}
-			return sc.writeBinaryError(nil, "wire: received JSON frame on binary-negotiated connection")
+			_ = json.Unmarshal(body, &jreq) // an unparseable body leaves the ID empty
+			return sc.writeError([]byte(jreq.ID), "wire: received JSON frame; this server speaks only the binary envelope")
 		}
-		return sc.writeBinaryError(nil, fmt.Sprintf("wire: bad request: %v", derr))
+		return sc.writeError(nil, fmt.Sprintf("wire: bad request: %v", derr))
 	}
 	// Intern the method name: steady-state traffic repeats a handful of
 	// methods, so after warm-up neither dispatch nor the metrics allocate
@@ -627,7 +336,7 @@ func (sc *serverConn) serveBinaryFrame(body []byte) bool {
 	p := Payload{data: req.payload, binary: req.flags&reqFlagBinaryPayload != 0}
 	mServerInflight.Inc()
 	start := time.Now()
-	result, err := s.dispatchPayload(sp.Context(), method, p)
+	result, err := s.handler(sp.Context(), method, p)
 	took := time.Since(start)
 	mServerInflight.Dec()
 	var respFlags byte
@@ -676,7 +385,14 @@ func (sc *serverConn) serveBinaryFrame(body []byte) bool {
 	}
 	sc.wbuf = w[:0]
 	if len(w)-4 > MaxMessageSize {
-		return false
+		// The result cannot be framed. Answer with the size error instead:
+		// the request was served and nothing desynced, so the connection
+		// stays up and the client sees a permanent RemoteError rather than
+		// a hang-up it would retry. Drop the oversized scratch buffer so an
+		// idle connection does not pin it.
+		mServerErrors.Inc()
+		sc.wbuf = nil
+		return sc.writeError(req.id, ErrMessageTooLarge.Error())
 	}
 	binary.BigEndian.PutUint32(w[:4], uint32(len(w)-4))
 	if _, werr := sc.conn.Write(w); werr != nil {
@@ -686,9 +402,9 @@ func (sc *serverConn) serveBinaryFrame(body []byte) bool {
 	return true
 }
 
-// writeBinaryError sends a payload-less binary error response (id may be
-// nil when the request's ID could not be recovered).
-func (sc *serverConn) writeBinaryError(id []byte, msg string) bool {
+// writeError sends a payload-less error response (id may be nil when the
+// request's ID could not be recovered).
+func (sc *serverConn) writeError(id []byte, msg string) bool {
 	w := append(sc.wbuf[:0], 0, 0, 0, 0)
 	w = appendBinResponseHeader(w, 0, id, msg, 0)
 	sc.wbuf = w[:0]
@@ -753,10 +469,7 @@ type ClientOptions struct {
 	// Service labels this client's wire.call spans (e.g. "grantd"). Empty
 	// leaves the span on the process-wide collector default.
 	Service string
-	// Codec is the wire encoding offered at dial time. CodecJSON (the zero
-	// value) keeps the historical behavior. CodecBinary negotiates the
-	// binary codec on every (re-)dial and falls back to JSON when the
-	// server declines or predates negotiation — old servers keep working.
+	// Deprecated: binary is the only codec; ignored.
 	Codec Codec
 }
 
@@ -795,18 +508,16 @@ type Client struct {
 	mu         sync.Mutex // guards connection state below
 	conn       net.Conn
 	br         *bufio.Reader
-	bw         *bufio.Writer
-	connBinary bool // current connection negotiated the binary codec
 	addr       string
 	opts       ClientOptions
 	backoff    time.Duration
 	nextDialAt time.Time
 	closed     bool
 
-	// Scratch buffers for the binary call path, guarded by callMu (one call
-	// at a time): the request frame is built in wbuf, the response read into
+	// Scratch buffers for the call path, guarded by callMu (one call at a
+	// time): the request frame is built in wbuf, the response read into
 	// rbuf, the request ID rendered into idbuf. Reuse across calls is what
-	// makes the binary publish path allocation-free.
+	// makes the publish path allocation-free.
 	wbuf, rbuf, idbuf []byte
 	// everConnected distinguishes first connects from reconnects in the
 	// dial metrics: a successful dial after it is set counts as a repair
@@ -878,8 +589,8 @@ func (c *Client) SetSpan(ctx trace.Context) {
 
 // requestID renders the ID for call seq from a traceState snapshot:
 // "<trace>.<base>-<seq>" with a trace set, "<base>-<seq>" without. The
-// binary hot path renders the same bytes via appendRequestID instead, so
-// this string is only materialized for spans, logs, and errors.
+// call path renders the same bytes via appendRequestID instead, so this
+// string is only materialized for spans, logs, and errors.
 func (c *Client) requestID(st *clientTrace, seq uint64) string {
 	if st != nil && st.prefix != "" {
 		return fmt.Sprintf("%s.%s-%d", st.prefix, c.idBase, seq)
@@ -921,7 +632,6 @@ func NewClient(conn net.Conn) *Client {
 	return &Client{
 		conn: conn,
 		br:   bufio.NewReader(conn),
-		bw:   bufio.NewWriter(conn),
 		// No CallTimeout default: the conn may be a pipe in tests, and the
 		// historical NewClient contract had no deadlines.
 		opts:   ClientOptions{DialTimeout: -1, CallTimeout: -1, DisableReconnect: true, Now: time.Now},
@@ -929,8 +639,8 @@ func NewClient(conn net.Conn) *Client {
 	}
 }
 
-// dialLocked establishes the connection (and negotiates the codec when the
-// client prefers binary); c.mu must be held.
+// dialLocked establishes the connection; c.mu must be held. The first
+// Call is the first frame on the new connection: there is no handshake.
 func (c *Client) dialLocked() error {
 	d := net.Dialer{}
 	if c.opts.DialTimeout > 0 {
@@ -943,76 +653,15 @@ func (c *Client) dialLocked() error {
 		c.bumpBackoffLocked()
 		return &TransientError{Err: err}
 	}
-	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
-	binaryMode := false
-	if c.opts.Codec == CodecBinary {
-		binaryMode, err = c.negotiate(conn, br, bw)
-		if err != nil {
-			// The server never answered the offer: treat it like a failed
-			// dial so the backoff gate engages rather than half-using a
-			// connection in an unknown codec state.
-			conn.Close()
-			mClientDialFails.Inc()
-			c.bumpBackoffLocked()
-			return &TransientError{Err: fmt.Errorf("codec negotiation: %w", err)}
-		}
-	}
 	if c.everConnected {
 		mClientReconnects.Inc()
 	}
 	c.everConnected = true
 	c.conn = conn
-	c.br = br
-	c.bw = bw
-	c.connBinary = binaryMode
+	c.br = bufio.NewReader(conn)
 	c.backoff = 0
 	c.nextDialAt = time.Time{}
 	return nil
-}
-
-// negotiate offers the binary codec on a fresh connection with one JSON
-// round trip. An error response from the server — an old server answering
-// an unknown method, or a new one declining — is a clean JSON fallback;
-// only transport failures are returned as errors.
-func (c *Client) negotiate(conn net.Conn, br *bufio.Reader, bw *bufio.Writer) (bool, error) {
-	if c.opts.CallTimeout > 0 {
-		conn.SetDeadline(c.opts.Now().Add(c.opts.CallTimeout))
-		defer conn.SetDeadline(time.Time{})
-	}
-	hello, err := json.Marshal(schemav1.Hello{Codec: schemav1.CodecBinary, Version: schemav1.Version})
-	if err != nil {
-		return false, err
-	}
-	id := fmt.Sprintf("%s-hello", c.idBase)
-	if err := WriteMessage(bw, &Request{Method: NegotiateMethod, ID: id, Payload: hello}); err != nil {
-		return false, err
-	}
-	if err := bw.Flush(); err != nil {
-		return false, err
-	}
-	var resp Response
-	if err := ReadMessage(br, &resp); err != nil {
-		return false, err
-	}
-	if resp.ID != "" && resp.ID != id {
-		return false, fmt.Errorf("negotiation response ID %q does not match %q", resp.ID, id)
-	}
-	if resp.Error != "" {
-		// Declined (or unknown method on an old server): stay on JSON.
-		mClientNegotiated.With("json").Inc()
-		return false, nil
-	}
-	var reply schemav1.HelloReply
-	if err := json.Unmarshal(resp.Payload, &reply); err != nil {
-		return false, fmt.Errorf("negotiation reply: %w", err)
-	}
-	if reply.Codec != schemav1.CodecBinary || reply.Version != schemav1.Version {
-		mClientNegotiated.With("json").Inc()
-		return false, nil
-	}
-	mClientNegotiated.With("binary").Inc()
-	return true, nil
 }
 
 // bumpBackoffLocked doubles the re-dial backoff (capped) and sets the next
@@ -1033,42 +682,29 @@ func (c *Client) bumpBackoffLocked() {
 	c.nextDialAt = c.opts.Now().Add(wait)
 }
 
-// ensureConn returns a live connection (and whether it negotiated the
-// binary codec), re-dialing if allowed.
-func (c *Client) ensureConn() (net.Conn, *bufio.Reader, *bufio.Writer, bool, error) {
+// ensureConn returns a live connection, re-dialing if allowed.
+func (c *Client) ensureConn() (net.Conn, *bufio.Reader, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		return nil, nil, nil, false, ErrClientClosed
+		return nil, nil, ErrClientClosed
 	}
 	if c.conn != nil {
-		return c.conn, c.br, c.bw, c.connBinary, nil
+		return c.conn, c.br, nil
 	}
 	if c.addr == "" || c.opts.DisableReconnect {
-		return nil, nil, nil, false, ErrBrokenConn
+		return nil, nil, ErrBrokenConn
 	}
 	if now := c.opts.Now(); now.Before(c.nextDialAt) {
 		mClientBackoff.Inc()
-		return nil, nil, nil, false, &TransientError{
+		return nil, nil, &TransientError{
 			Err: fmt.Errorf("reconnect to %s backed off for %s", c.addr, c.nextDialAt.Sub(now).Round(time.Millisecond)),
 		}
 	}
 	if err := c.dialLocked(); err != nil {
-		return nil, nil, nil, false, err
+		return nil, nil, err
 	}
-	return c.conn, c.br, c.bw, c.connBinary, nil
-}
-
-// NegotiatedCodec reports the codec of the current connection: CodecBinary
-// after a successful binary negotiation, CodecJSON otherwise (including
-// when disconnected).
-func (c *Client) NegotiatedCodec() Codec {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.conn != nil && c.connBinary {
-		return CodecBinary
-	}
-	return CodecJSON
+	return c.conn, c.br, nil
 }
 
 // fail marks conn broken so no later call can reuse a desynced stream.
@@ -1076,8 +712,7 @@ func (c *Client) fail(conn net.Conn) {
 	conn.Close()
 	c.mu.Lock()
 	if c.conn == conn {
-		c.conn, c.br, c.bw = nil, nil, nil
-		c.connBinary = false
+		c.conn, c.br = nil, nil
 		mClientBroken.Inc()
 	}
 	c.mu.Unlock()
@@ -1093,8 +728,8 @@ func (c *Client) Call(method string, args interface{}, reply interface{}) (err e
 	st := c.traceState.Load()
 	seq := c.reqSeq.Add(1)
 	// The ID string is materialized only off the hot path — spans, logs,
-	// error stamping. The binary transport renders the same bytes with
-	// appendRequestID and never builds the string on success.
+	// error stamping. roundTrip renders the same bytes with appendRequestID
+	// and never builds the string on success.
 	id := ""
 	if (st != nil && st.ctx.Valid()) || c.opts.Logger != nil {
 		id = c.requestID(st, seq)
@@ -1157,7 +792,7 @@ func (c *Client) Call(method string, args interface{}, reply interface{}) (err e
 	}()
 	c.callMu.Lock()
 	defer c.callMu.Unlock()
-	conn, br, bw, isBinary, err := c.ensureConn()
+	conn, br, err := c.ensureConn()
 	if err != nil {
 		return err
 	}
@@ -1176,73 +811,16 @@ func (c *Client) Call(method string, args interface{}, reply interface{}) (err e
 	if c.opts.CallTimeout > 0 {
 		conn.SetDeadline(c.opts.Now().Add(c.opts.CallTimeout))
 	}
-	if isBinary {
-		return c.callBinary(conn, br, st, seq, method, frameTrace, args, reply)
-	}
-	if id == "" {
-		id = c.requestID(st, seq)
-	}
-	var payload json.RawMessage
-	if args != nil {
-		body, merr := json.Marshal(args)
-		if merr != nil {
-			return fmt.Errorf("wire: marshal args: %w", merr)
-		}
-		payload = body
-	}
-	n, err := writeMessageN(bw, &Request{Method: method, ID: id, Payload: payload, Trace: frameTrace})
-	if err != nil {
-		c.fail(conn)
-		return &TransientError{Err: err}
-	}
-	if err := bw.Flush(); err != nil {
-		c.fail(conn)
-		return &TransientError{Err: err}
-	}
-	mClientBytesOut.Add(int64(n))
-	body, err := readFrame(br)
-	if err != nil {
-		c.fail(conn)
-		return &TransientError{Err: err}
-	}
-	mClientBytesIn.Add(int64(4 + len(body)))
-	var resp Response
-	if err := json.Unmarshal(body, &resp); err != nil {
-		c.fail(conn)
-		return &TransientError{Err: fmt.Errorf("wire: unmarshal: %w", err)}
-	}
-	if c.opts.CallTimeout > 0 {
-		conn.SetDeadline(time.Time{})
-	}
-	if resp.ID != "" && resp.ID != id {
-		// The stream delivered someone else's response: framing has
-		// desynced (or the server is broken). Drop the connection rather
-		// than mis-attribute replies.
-		c.fail(conn)
-		return &TransientError{Err: fmt.Errorf("wire: response ID %q does not match request %q", resp.ID, id)}
-	}
-	if resp.Error != "" {
-		if resp.Retryable {
-			return &OverloadedError{
-				Method: method, Message: resp.Error,
-				RetryAfter: time.Duration(resp.RetryAfterMS) * time.Millisecond,
-			}
-		}
-		return &RemoteError{Method: method, Message: resp.Error}
-	}
-	if reply != nil && resp.Payload != nil {
-		return json.Unmarshal(resp.Payload, reply)
-	}
-	return nil
+	return c.roundTrip(conn, br, st, seq, method, frameTrace, args, reply)
 }
 
-// callBinary issues one call on a binary-negotiated connection. The frame
-// is built in the client's reusable scratch buffer — envelope header then
-// payload, schema-binary when args implements schemav1.AppendMarshaler,
-// JSON bytes otherwise — and the response is read into a second reusable
-// buffer, so a publish round trip allocates nothing after warm-up.
+// roundTrip issues one call on the connection. The frame is built in the
+// client's reusable scratch buffer — envelope header then payload,
+// schema-binary when args implements schemav1.AppendMarshaler, JSON bytes
+// otherwise — and the response is read into a second reusable buffer, so a
+// publish round trip allocates nothing after warm-up.
 // callMu is held; the per-call deadline was set by Call.
-func (c *Client) callBinary(conn net.Conn, br *bufio.Reader, st *clientTrace, seq uint64, method, frameTrace string, args, reply interface{}) error {
+func (c *Client) roundTrip(conn net.Conn, br *bufio.Reader, st *clientTrace, seq uint64, method, frameTrace string, args, reply interface{}) error {
 	prefix := ""
 	if st != nil {
 		prefix = st.prefix
@@ -1291,7 +869,7 @@ func (c *Client) callBinary(conn net.Conn, br *bufio.Reader, st *clientTrace, se
 	resp, err := decodeBinResponse(body)
 	if err != nil {
 		// The body was length-delimited so framing is intact, but a server
-		// speaking the wrong codec mid-connection is not to be trusted.
+		// sending malformed envelopes is not to be trusted.
 		c.fail(conn)
 		return &TransientError{Err: err}
 	}
@@ -1346,7 +924,7 @@ func (c *Client) Close() error {
 	c.mu.Lock()
 	c.closed = true
 	conn := c.conn
-	c.conn, c.br, c.bw = nil, nil, nil
+	c.conn, c.br = nil, nil
 	c.mu.Unlock()
 	if conn != nil {
 		return conn.Close()

@@ -1,71 +1,94 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"entitlement/internal/obs/trace"
 )
 
+// frame prefixes body with its 4-byte big-endian length.
+func frame(body []byte) []byte {
+	out := make([]byte, 4+len(body))
+	binary.BigEndian.PutUint32(out[:4], uint32(len(body)))
+	copy(out[4:], body)
+	return out
+}
+
+// requestFrame builds one framed request envelope around payload.
+func requestFrame(flags byte, method, id, trace string, payload []byte) []byte {
+	return frame(append(appendBinRequestHeader(nil, flags, method, []byte(id), trace), payload...))
+}
+
 func TestMessageRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	in := map[string]interface{}{"hello": "world", "n": 42.0}
-	if err := WriteMessage(&buf, in); err != nil {
+	payload, _ := json.Marshal(map[string]interface{}{"hello": "world", "n": 42.0})
+	buf := bytes.NewReader(requestFrame(reqFlagAcceptBinary, "echo", "id-1", "00-tr", payload))
+	body, _, err := readFrameInto(bufio.NewReader(buf), nil)
+	if err != nil {
 		t.Fatal(err)
 	}
+	req, err := decodeBinRequest(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(req.method) != "echo" || string(req.id) != "id-1" || string(req.trace) != "00-tr" || req.flags != reqFlagAcceptBinary {
+		t.Errorf("envelope round trip = %+v", req)
+	}
 	var out map[string]interface{}
-	if err := ReadMessage(&buf, &out); err != nil {
+	if err := (Payload{data: req.payload}).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
 	if out["hello"] != "world" || out["n"] != 42.0 {
-		t.Errorf("round trip = %v", out)
+		t.Errorf("payload round trip = %v", out)
 	}
 }
 
 func TestMessageMultipleFrames(t *testing.T) {
-	var buf bytes.Buffer
+	var stream []byte
 	for i := 0; i < 5; i++ {
-		if err := WriteMessage(&buf, i); err != nil {
+		stream = append(stream, requestFrame(0, "m", fmt.Sprint(i), "", []byte(fmt.Sprint(i)))...)
+	}
+	br := bufio.NewReader(bytes.NewReader(stream))
+	var buf []byte
+	for i := 0; i < 5; i++ {
+		body, kept, err := readFrameInto(br, buf)
+		if err != nil {
 			t.Fatal(err)
+		}
+		buf = kept
+		req, err := decodeBinRequest(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(req.id) != fmt.Sprint(i) || string(req.payload) != fmt.Sprint(i) {
+			t.Errorf("frame %d = id %q payload %q", i, req.id, req.payload)
 		}
 	}
-	for i := 0; i < 5; i++ {
-		var v int
-		if err := ReadMessage(&buf, &v); err != nil {
-			t.Fatal(err)
-		}
-		if v != i {
-			t.Errorf("frame %d = %d", i, v)
-		}
+	if _, _, err := readFrameInto(br, buf); err != io.EOF {
+		t.Errorf("after the last frame: %v, want EOF", err)
 	}
 }
 
-func TestReadMessageTruncated(t *testing.T) {
-	var buf bytes.Buffer
-	WriteMessage(&buf, "payload")
-	raw := buf.Bytes()[:buf.Len()-3]
-	var v string
-	if err := ReadMessage(bytes.NewReader(raw), &v); err == nil {
+func TestReadFrameTruncated(t *testing.T) {
+	raw := requestFrame(0, "echo", "id", "", []byte(`"payload"`))
+	if _, _, err := readFrameInto(bufio.NewReader(bytes.NewReader(raw[:len(raw)-3])), nil); err == nil {
 		t.Error("truncated frame accepted")
 	}
 }
 
-func TestReadMessageOversized(t *testing.T) {
+func TestReadFrameOversized(t *testing.T) {
 	hdr := []byte{0xFF, 0xFF, 0xFF, 0xFF}
-	var v interface{}
-	if err := ReadMessage(bytes.NewReader(hdr), &v); !errors.Is(err, ErrMessageTooLarge) {
+	if _, _, err := readFrameInto(bufio.NewReader(bytes.NewReader(hdr)), nil); !errors.Is(err, ErrMessageTooLarge) {
 		t.Errorf("err = %v, want ErrMessageTooLarge", err)
-	}
-}
-
-func TestWriteMessageUnmarshalable(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteMessage(&buf, func() {}); err == nil {
-		t.Error("function value marshaled")
 	}
 }
 
@@ -75,17 +98,17 @@ func startEchoServer(t *testing.T) (*Server, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(l, func(method string, payload json.RawMessage) (interface{}, error) {
+	srv := NewServer(l, func(_ trace.Context, method string, p Payload) (interface{}, error) {
 		switch method {
 		case "echo":
 			var s string
-			if err := json.Unmarshal(payload, &s); err != nil {
+			if err := p.Decode(&s); err != nil {
 				return nil, err
 			}
 			return s, nil
 		case "add":
 			var args [2]int
-			if err := json.Unmarshal(payload, &args); err != nil {
+			if err := p.Decode(&args); err != nil {
 				return nil, err
 			}
 			return args[0] + args[1], nil
@@ -96,7 +119,7 @@ func startEchoServer(t *testing.T) (*Server, string) {
 		default:
 			return nil, fmt.Errorf("unknown method %q", method)
 		}
-	})
+	}, ServerOptions{})
 	t.Cleanup(func() { srv.Close() })
 	return srv, l.Addr().String()
 }
@@ -229,17 +252,19 @@ func TestServerAddr(t *testing.T) {
 	}
 }
 
-// Property: ReadMessage never panics on arbitrary input bytes — it either
-// decodes or returns an error.
-func TestReadMessageRobustnessProperty(t *testing.T) {
+// Property: the frame reader and both envelope decoders never panic on
+// arbitrary input bytes — they either decode or return an error.
+func TestReadFrameRobustnessProperty(t *testing.T) {
 	f := func(raw []byte) bool {
 		defer func() {
 			if recover() != nil {
-				t.Fatal("ReadMessage panicked")
+				t.Fatal("frame decode panicked")
 			}
 		}()
-		var v interface{}
-		ReadMessage(bytes.NewReader(raw), &v)
+		if body, _, err := readFrameInto(bufio.NewReader(bytes.NewReader(raw)), nil); err == nil {
+			decodeBinRequest(body)
+			decodeBinResponse(body)
+		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -247,26 +272,16 @@ func TestReadMessageRobustnessProperty(t *testing.T) {
 	}
 }
 
-// Property: WriteMessage → ReadMessage round-trips arbitrary string maps.
+// Property: framing then decoding round-trips arbitrary request fields.
 func TestMessageRoundTripProperty(t *testing.T) {
-	f := func(m map[string]string) bool {
-		var buf bytes.Buffer
-		if err := WriteMessage(&buf, m); err != nil {
+	f := func(method, id, tr string, payload []byte, flags byte) bool {
+		body, _, err := readFrameInto(bufio.NewReader(bytes.NewReader(requestFrame(flags, method, id, tr, payload))), nil)
+		if err != nil {
 			return false
 		}
-		var out map[string]string
-		if err := ReadMessage(&buf, &out); err != nil {
-			return false
-		}
-		if len(out) != len(m) {
-			return false
-		}
-		for k, v := range m {
-			if out[k] != v {
-				return false
-			}
-		}
-		return true
+		req, err := decodeBinRequest(body)
+		return err == nil && string(req.method) == method && string(req.id) == id &&
+			string(req.trace) == tr && bytes.Equal(req.payload, payload) && req.flags == flags
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

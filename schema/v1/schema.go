@@ -24,17 +24,19 @@
 //   - BREAKING, never allowed in place: removing or renaming a field,
 //     changing a field's type or JSON tag, reordering fields (the binary
 //     codec is positional), changing a binary encoding. These require a new
-//     version package (schema/v2) negotiated separately on the wire.
+//     version package (schema/v2) side by side.
 //   - COMPATIBLE, allowed with a deliberate lock regen (`make vet-schema-update`,
 //     reviewed in the diff): appending a new optional `omitempty` field at
 //     the END of a struct that has no binary codec, or adding an entirely
 //     new message type. Types with binary codecs are frozen — their layout
 //     is positional, so even appends need a version bump.
-//   - Wire negotiation: codecs and schema versions are negotiated
-//     per-connection at dial time (wire's "_negotiate" method). JSON + v1 is
-//     the floor every peer speaks; anything newer is opt-in and falls back.
+//   - One envelope: every frame is the binary Request/Response envelope
+//     (internal/wire has the layout). Payloads inside it are schema-binary
+//     for the shapes with a binary codec and JSON for the rest. There is no
+//     per-connection negotiation; Hello and HelloReply are retired shapes,
+//     pinned in the lock until schema/v2.
 //
-// The full policy, with the negotiation sequence, lives in DESIGN.md §14.
+// The full policy, and why the JSON framing went, lives in DESIGN.md §14.
 package schemav1
 
 import (
@@ -45,17 +47,11 @@ import (
 // Version is the schema contract version this package defines.
 const Version = 1
 
-// CodecJSON and CodecBinary name the two negotiable payload codecs.
-const (
-	CodecJSON   = "json"
-	CodecBinary = "binary"
-)
-
 // --- RPC envelope ---------------------------------------------------------
 
-// Request is the RPC envelope sent by clients (wire.Request is an alias).
-// On the JSON codec it is the frame body; on the binary codec the same
-// fields are encoded positionally (see wire's binary framing).
+// Request is the RPC envelope sent by clients. On the wire its fields are
+// encoded positionally in the binary envelope (see internal/wire); the JSON
+// tags pin the shape's fingerprint.
 type Request struct {
 	Method string `json:"method"`
 	// ID is the client-generated request ID; the server echoes it in the
@@ -68,8 +64,7 @@ type Request struct {
 	Trace string `json:"trace,omitempty"`
 }
 
-// Response is the RPC envelope returned by servers (wire.Response is an
-// alias).
+// Response is the RPC envelope returned by servers, encoded like Request.
 type Response struct {
 	// ID echoes the request's ID, correlating the two sides' logs (and
 	// letting the client detect a desynced stream).
@@ -85,17 +80,16 @@ type Response struct {
 	RetryAfterMS int64 `json:"retry_after_ms,omitempty"`
 }
 
-// Hello is the payload of the reserved "_negotiate" method: the client's
-// codec/version offer, sent as the first call on a connection when the
-// client prefers a non-JSON codec.
+// Hello is a retired shape: the codec/version offer of the per-connection
+// negotiation the wire protocol no longer performs (the binary envelope is
+// the only framing). It stays in Defs, fingerprint-pinned, because removing
+// a shipped schema is a breaking change; schema/v2 drops it.
 type Hello struct {
 	Codec   string `json:"codec"`
 	Version int    `json:"version"`
 }
 
-// HelloReply confirms the negotiated codec and schema version. A server
-// that cannot speak the offer answers with an error response instead, and
-// the connection stays on JSON — that is the whole fallback story.
+// HelloReply is the retired answer to Hello, pinned for the same reason.
 type HelloReply struct {
 	Codec   string `json:"codec"`
 	Version int    `json:"version"`
