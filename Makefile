@@ -17,7 +17,8 @@ chaos:
 	go test -race -count=1 -timeout 120s ./internal/faults/ ./internal/wire/
 
 # Durability plane: the randomized crash-recovery property (Kill + torn
-# journal tail, 50 seeded runs), the WAL decoder corruption suite, the
+# journal tail, 50 seeded runs), the record-log decoder corruption suite
+# (internal/recordlog framing plus the journal's record-shape checks), the
 # overload/queue-timeout admission tests, and the end-to-end SIGKILL drill —
 # a real grantd subprocess killed mid-storm must restart on its journal,
 # serve pre-kill decisions byte-identically, re-decide in-flight work, and
@@ -26,6 +27,7 @@ crash:
 	go test -race -count=1 -timeout 300s \
 		-run 'TestCrashRecoveryProperty|TestOverloadShed|TestQueueTimeout|TestWAL|TestReplayWAL|TestJournalCheckpointRotation|TestServiceCleanRestart' \
 		./internal/granting/
+	go test -race -count=1 -timeout 120s ./internal/recordlog/
 	go test -race -count=1 -timeout 300s -v \
 		-run 'TestGrantdCrashRecoverySockets' ./internal/integration/
 
@@ -73,14 +75,16 @@ slo:
 	go test -race -count=1 -timeout 120s -run TestSLOConformanceIncident -v ./internal/integration/
 
 # Incident black box: lifecycle/budget/crash-tail unit tests, the capture
-# decoder's fuzz seed corpus, the drain-race accounting invariant, and the
-# golden end-to-end drill — a recorded incident must replay byte-identically
-# through the real engine and the envelope must name the injected root cause.
-# All under the race detector.
+# decoder's fuzz seed corpora (internal/recordlog's FuzzDecode and the
+# capture read path's FuzzBlackboxDecode), the drain-race accounting
+# invariant, and the golden end-to-end drill — a recorded incident must
+# replay byte-identically through the real engine and the envelope must name
+# the injected root cause. All under the race detector.
 replay:
 	go test -race -count=1 -timeout 180s \
 		-run 'TestBlackbox|TestEnvelopeRoundtrip|TestDrainDropAccountingRace|FuzzBlackboxDecode' \
 		./internal/slo/
+	go test -race -count=1 -timeout 120s ./internal/recordlog/
 	go test -race -count=1 -timeout 180s -v \
 		-run 'TestBlackboxIncidentReplay' ./internal/integration/
 
@@ -144,13 +148,15 @@ wirecompat:
 	$(call run-listed,./internal/kvstore/,$(WIRECOMPAT_KVSTORE))
 
 # Short fuzz pass over every parser that faces untrusted bytes: the wire
-# binary envelope and its framing, the journal replay path, the black-box
-# capture decoder, the traceparent codec, and the metrics text scraper.
+# binary envelope and its framing, the record-log framing shared by the
+# journal and the black box, the journal replay path, the black-box capture
+# read path, the traceparent codec, and the metrics text scraper.
 # ~30s per target keeps the whole pass under CI's patience while still
 # churning well past the seed corpus.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	go test -count=1 -run=NONE -fuzz 'FuzzBinaryFrameDecode' -fuzztime $(FUZZTIME) ./internal/wire/
+	go test -count=1 -run=NONE -fuzz 'FuzzDecode' -fuzztime $(FUZZTIME) ./internal/recordlog/
 	go test -count=1 -run=NONE -fuzz 'FuzzJournalReplay' -fuzztime $(FUZZTIME) ./internal/granting/
 	go test -count=1 -run=NONE -fuzz 'FuzzBlackboxDecode' -fuzztime $(FUZZTIME) ./internal/slo/
 	go test -count=1 -run=NONE -fuzz 'FuzzParseTraceContext' -fuzztime $(FUZZTIME) ./internal/obs/trace/

@@ -1,15 +1,10 @@
 // The write-ahead decision journal: grantd is the system of record for every
 // entitlement, so an accepted submission and a decided batch must both
-// survive a crash. The journal is an append-only sequence of length-prefixed,
-// CRC-checksummed records in generation-numbered files; a checkpoint record
-// opens each generation with a full state snapshot, so replay is "latest
-// checkpoint + everything after it" and old generations can be deleted.
-//
-// Record framing (all integers big-endian):
-//
-//	4 bytes  payload length n (0 < n <= maxWALRecord)
-//	4 bytes  CRC-32C (Castagnoli) of the payload
-//	n bytes  payload: one JSON-encoded walRecord
+// survive a crash. The journal is an append-only sequence of records in the
+// internal/recordlog format (length-prefixed, CRC-32C-checksummed JSON in
+// generation-numbered wal-%016d.log files); a checkpoint record opens each
+// generation with a full state snapshot, so replay is "latest checkpoint +
+// everything after it" and old generations can be deleted.
 //
 // Record types:
 //
@@ -20,8 +15,9 @@
 // Recovery invariants (pinned by the crash property test):
 //
 //   - Replay tolerates a torn tail: decoding stops at the first record whose
-//     header, length, checksum, or body is invalid, keeps the valid prefix,
-//     and never fails or panics on arbitrary bytes (FuzzJournalReplay).
+//     header, length, checksum, body, or shape is invalid, keeps the valid
+//     prefix, and never fails or panics on arbitrary bytes (recordlog's
+//     FuzzDecode; FuzzJournalReplay folds whatever it accepts).
 //   - A request id whose dec record survived is served byte-identically
 //     after restart: the decision JSON round-trips exactly (encoding/json
 //     renders float64 shortest-roundtrip, so equal structs re-render to
@@ -38,15 +34,10 @@
 package granting
 
 import (
-	"encoding/binary"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
-	"path/filepath"
-	"sort"
+
+	"entitlement/internal/recordlog"
 )
 
 // FsyncPolicy says when the journal calls fsync.
@@ -99,15 +90,6 @@ func (o WALOptions) withDefaults() WALOptions {
 	return o
 }
 
-// maxWALRecord bounds one record's payload; a length prefix beyond it marks
-// a corrupt (or torn) tail. Matches the wire layer's frame bound.
-const maxWALRecord = 16 << 20
-
-// walHeaderSize is the fixed per-record framing overhead.
-const walHeaderSize = 8
-
-var walCRC = crc32.MakeTable(crc32.Castagnoli)
-
 // walSub journals one accepted submission (a group decides atomically).
 type walSub struct {
 	IDs  []string  `json:"ids"`
@@ -145,61 +127,19 @@ type walRecord struct {
 	Ckpt *walCkpt `json:"ckpt,omitempty"`
 }
 
-// encodeWALRecord frames one record; the returned length includes the header.
-func encodeWALRecord(rec *walRecord) ([]byte, error) {
-	body, err := json.Marshal(rec)
-	if err != nil {
-		return nil, fmt.Errorf("granting: journal encode: %w", err)
+// shapeOK checks the type/payload pairing a decoded record must satisfy. An
+// unknown type or a self-inconsistent record means replay cannot interpret
+// anything after it soundly, so the decode stops there.
+func (r *walRecord) shapeOK() bool {
+	switch r.T {
+	case "sub":
+		return r.Sub != nil && len(r.Sub.IDs) == len(r.Sub.Reqs) && len(r.Sub.IDs) > 0
+	case "dec":
+		return r.Dec != nil && len(r.Dec.IDs) == len(r.Dec.Decs) && len(r.Dec.IDs) > 0
+	case "ckpt":
+		return r.Ckpt != nil
 	}
-	if len(body) > maxWALRecord {
-		return nil, fmt.Errorf("granting: journal record %d bytes exceeds %d", len(body), maxWALRecord)
-	}
-	buf := make([]byte, walHeaderSize+len(body))
-	binary.BigEndian.PutUint32(buf[0:4], uint32(len(body)))
-	binary.BigEndian.PutUint32(buf[4:8], crc32.Checksum(body, walCRC))
-	copy(buf[walHeaderSize:], body)
-	return buf, nil
-}
-
-// decodeWALStream reads records until EOF or the first invalid record. It
-// never fails on arbitrary bytes: a torn or corrupt tail ends the decode
-// with truncated=true and valid holding the byte offset of the last good
-// record boundary — exactly where a re-opened journal must truncate.
-func decodeWALStream(r io.Reader) (recs []walRecord, valid int64, truncated bool) {
-	var hdr [walHeaderSize]byte
-	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			// Clean EOF at a record boundary is a well-formed end; a
-			// partial header is a torn tail.
-			return recs, valid, !errors.Is(err, io.EOF)
-		}
-		n := binary.BigEndian.Uint32(hdr[0:4])
-		if n == 0 || n > maxWALRecord {
-			return recs, valid, true
-		}
-		body := make([]byte, n)
-		if _, err := io.ReadFull(r, body); err != nil {
-			return recs, valid, true
-		}
-		if crc32.Checksum(body, walCRC) != binary.BigEndian.Uint32(hdr[4:8]) {
-			return recs, valid, true
-		}
-		var rec walRecord
-		if err := json.Unmarshal(body, &rec); err != nil {
-			return recs, valid, true
-		}
-		switch {
-		case rec.T == "sub" && rec.Sub != nil && len(rec.Sub.IDs) == len(rec.Sub.Reqs) && len(rec.Sub.IDs) > 0:
-		case rec.T == "dec" && rec.Dec != nil && len(rec.Dec.IDs) == len(rec.Dec.Decs) && len(rec.Dec.IDs) > 0:
-		case rec.T == "ckpt" && rec.Ckpt != nil:
-		default:
-			// Unknown type or self-inconsistent record: replay cannot
-			// interpret anything after it soundly, so stop here.
-			return recs, valid, true
-		}
-		recs = append(recs, rec)
-		valid += walHeaderSize + int64(n)
-	}
+	return false
 }
 
 // Recovered is the state replayed from a journal directory.
@@ -221,29 +161,10 @@ type Recovered struct {
 }
 
 // walGen names one generation file.
-func walGen(dir string, gen uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("wal-%016d.log", gen))
-}
+func walGen(dir string, gen uint64) string { return recordlog.Name(dir, "wal-", gen, ".log") }
 
 // listWALGens returns the generation numbers present in dir, ascending.
-func listWALGens(dir string) ([]uint64, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil, nil
-		}
-		return nil, err
-	}
-	var gens []uint64
-	for _, e := range entries {
-		var g uint64
-		if _, err := fmt.Sscanf(e.Name(), "wal-%d.log", &g); err == nil {
-			gens = append(gens, g)
-		}
-	}
-	sort.Slice(gens, func(a, b int) bool { return gens[a] < gens[b] })
-	return gens, nil
-}
+func listWALGens(dir string) ([]uint64, error) { return recordlog.Gens(dir, "wal-", ".log") }
 
 // applyWALRecord folds one record into the recovered state.
 func (st *Recovered) applyWALRecord(rec *walRecord) {
@@ -340,7 +261,7 @@ func ReplayWAL(dir string) (*Recovered, error) {
 		if err != nil {
 			return nil, fmt.Errorf("granting: journal open: %w", err)
 		}
-		recs, _, truncated := decodeWALStream(f)
+		recs, _, truncated := recordlog.Decode(f, (*walRecord).shapeOK)
 		f.Close()
 		for i := range recs {
 			st.applyWALRecord(&recs[i])
@@ -402,10 +323,10 @@ func openJournal(o WALOptions) (*Journal, *Recovered, error) {
 // append frames rec, writes it to the current generation, and syncs when
 // the policy (or force) says so.
 func (j *Journal) append(rec *walRecord, force bool) error {
-	buf, err := encodeWALRecord(rec)
+	buf, err := recordlog.Encode(rec)
 	if err != nil {
 		mJournalErrors.Inc()
-		return err
+		return fmt.Errorf("granting: journal append: %w", err)
 	}
 	if _, err := j.f.Write(buf); err != nil {
 		mJournalErrors.Inc()

@@ -2,20 +2,20 @@ package granting
 
 import (
 	"bytes"
-	"encoding/json"
 	"testing"
+
+	"entitlement/internal/recordlog"
 )
 
-// FuzzJournalReplay throws arbitrary bytes at the WAL decoder. The decoder
-// must never panic, must never claim more valid bytes than the input holds,
-// and — the load-bearing property — the prefix it reports valid must decode
-// to the same records, cleanly, when replayed on its own: truncation always
-// lands exactly on a record boundary of a self-consistent prefix.
+// FuzzJournalReplay throws arbitrary bytes at the journal replay path:
+// folding whatever the decoder accepts into a recovered state must never
+// panic (decoded records are shape-checked but field values are arbitrary).
+// The valid-prefix property of the framing itself is recordlog's FuzzDecode.
 func FuzzJournalReplay(f *testing.F) {
 	recs := walTestRecords()
 	var clean bytes.Buffer
 	for i := range recs {
-		b, err := encodeWALRecord(&recs[i])
+		b, err := recordlog.Encode(&recs[i])
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -33,30 +33,7 @@ func FuzzJournalReplay(f *testing.F) {
 	f.Add(append(garbage, []byte("trailing garbage past the last record")...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, valid, truncated := decodeWALStream(bytes.NewReader(data))
-		if valid < 0 || valid > int64(len(data)) {
-			t.Fatalf("valid = %d outside [0, %d]", valid, len(data))
-		}
-		if !truncated && valid != int64(len(data)) {
-			t.Fatalf("clean decode but valid = %d of %d bytes", valid, len(data))
-		}
-		// Replaying exactly the valid prefix must yield the same records
-		// with no truncation — that prefix is what recovery keeps.
-		again, validAgain, truncAgain := decodeWALStream(bytes.NewReader(data[:valid]))
-		if truncAgain {
-			t.Fatalf("valid prefix (%d bytes) reported truncated on replay", valid)
-		}
-		if validAgain != valid || len(again) != len(got) {
-			t.Fatalf("prefix replay: %d records valid=%d, want %d records valid=%d",
-				len(again), validAgain, len(got), valid)
-		}
-		gj, _ := json.Marshal(got)
-		aj, _ := json.Marshal(again)
-		if !bytes.Equal(gj, aj) {
-			t.Fatalf("prefix replay diverged:\nfirst  %s\nsecond %s", gj, aj)
-		}
-		// Folding the records into a recovered state must not panic either
-		// (decoded records are shape-checked but field values are arbitrary).
+		got, _, _ := recordlog.Decode(bytes.NewReader(data), (*walRecord).shapeOK)
 		st := &Recovered{}
 		for i := range got {
 			st.applyWALRecord(&got[i])

@@ -2,13 +2,14 @@ package granting
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
+	"entitlement/internal/recordlog"
 	"entitlement/internal/topology"
 )
 
@@ -30,7 +31,7 @@ func encodeAll(t *testing.T, recs []walRecord) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	for i := range recs {
-		b, err := encodeWALRecord(&recs[i])
+		b, err := recordlog.Encode(&recs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,7 +43,7 @@ func encodeAll(t *testing.T, recs []walRecord) []byte {
 func TestWALRecordRoundtrip(t *testing.T) {
 	want := walTestRecords()
 	stream := encodeAll(t, want)
-	got, valid, truncated := decodeWALStream(bytes.NewReader(stream))
+	got, valid, truncated := recordlog.Decode(bytes.NewReader(stream), (*walRecord).shapeOK)
 	if truncated {
 		t.Fatal("clean stream reported truncated")
 	}
@@ -59,65 +60,28 @@ func TestWALRecordRoundtrip(t *testing.T) {
 	}
 }
 
-// TestWALDecodeTornAndCorrupt drives every invalid-tail shape through the
-// decoder: it must keep the valid prefix, report truncation, and never
-// error or panic.
-func TestWALDecodeTornAndCorrupt(t *testing.T) {
+// TestWALDecodeBadShape checks that replay stops at a well-framed record it
+// cannot interpret, keeping the prefix before it. The framing itself (torn,
+// corrupt, oversized) is covered by recordlog's TestDecodeTornAndCorrupt.
+func TestWALDecodeBadShape(t *testing.T) {
 	recs := walTestRecords()
-	stream := encodeAll(t, recs)
-	// Offsets of each record boundary.
-	var bounds []int64
-	off := int64(0)
-	for i := range recs {
-		b, _ := encodeWALRecord(&recs[i])
-		off += int64(len(b))
-		bounds = append(bounds, off)
-	}
-
-	check := func(name string, data []byte, wantRecs int, wantValid int64) {
-		t.Helper()
-		got, valid, truncated := decodeWALStream(bytes.NewReader(data))
-		if !truncated {
-			t.Errorf("%s: truncated=false", name)
-		}
-		if len(got) != wantRecs || valid != wantValid {
-			t.Errorf("%s: got %d records valid=%d, want %d records valid=%d",
-				name, len(got), valid, wantRecs, wantValid)
+	for _, tc := range []struct {
+		name string
+		bad  walRecord
+	}{
+		{"unknown type", walRecord{T: "mystery"}},
+		{"inconsistent sub", walRecord{T: "sub", Sub: &walSub{IDs: []string{"g-9"}}}},
+		{"inconsistent dec", walRecord{T: "dec", Dec: &walDec{IDs: []string{"g-9"}}}},
+		{"ckpt without payload", walRecord{T: "ckpt"}},
+	} {
+		good := encodeAll(t, recs[:2])
+		data := append(good, encodeAll(t, []walRecord{tc.bad, recs[2]})...)
+		got, valid, truncated := recordlog.Decode(bytes.NewReader(data), (*walRecord).shapeOK)
+		if !truncated || len(got) != 2 || valid != int64(len(good)) {
+			t.Errorf("%s: got %d records valid=%d truncated=%v, want 2 records valid=%d truncated",
+				tc.name, len(got), valid, truncated, len(good))
 		}
 	}
-
-	// Torn header: cut mid-way through the last record's header.
-	check("torn header", stream[:bounds[2]+3], 3, bounds[2])
-	// Torn body: cut mid-way through the last record's body.
-	check("torn body", stream[:bounds[3]-2], 3, bounds[2])
-	// CRC flip: corrupt one payload byte of the third record.
-	flipped := append([]byte(nil), stream...)
-	flipped[bounds[1]+walHeaderSize] ^= 0x01
-	check("payload bit flip", flipped, 2, bounds[1])
-	// Zero length prefix.
-	zeroed := append([]byte(nil), stream[:bounds[1]]...)
-	zeroed = append(zeroed, make([]byte, walHeaderSize)...)
-	check("zero length", zeroed, 2, bounds[1])
-	// Oversized length prefix.
-	big := append([]byte(nil), stream[:bounds[0]]...)
-	var hdr [walHeaderSize]byte
-	binary.BigEndian.PutUint32(hdr[0:4], maxWALRecord+1)
-	big = append(big, hdr[:]...)
-	check("oversized length", big, 1, bounds[0])
-	// Unknown record type with a valid checksum: replay must stop there.
-	unk, err := encodeWALRecord(&walRecord{T: "mystery"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("unknown type", append(append([]byte(nil), stream[:bounds[1]]...), unk...), 2, bounds[1])
-	// Self-inconsistent sub (ids without reqs) with a valid checksum.
-	bad, err := encodeWALRecord(&walRecord{T: "sub", Sub: &walSub{IDs: []string{"g-9"}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("inconsistent sub", append(append([]byte(nil), stream[:bounds[0]]...), bad...), 1, bounds[0])
-	// Pure garbage from byte zero recovers to empty state.
-	check("garbage", []byte("this is not a journal at all"), 0, 0)
 }
 
 // TestReplayWALAcrossGenerations pins the replay order and the checkpoint
@@ -195,6 +159,46 @@ func TestJournalCheckpointRotation(t *testing.T) {
 	// The surviving generation replays cleanly.
 	if _, err := ReplayWAL(dir); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestJournalIgnoresStrayFiles pins that only exact generation names are
+// journal files: backups and editor leftovers in the WAL directory must
+// neither stop grantd from starting nor be pruned by rotation.
+func TestJournalIgnoresStrayFiles(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(walGen(dir, 2), encodeAll(t, walTestRecords()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	strays := []string{"wal-0000000000000009.log.bak", "wal-3.log~", "wal-7.logfoo"}
+	for _, name := range strays {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("stray"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := ReplayWAL(dir)
+	if err != nil {
+		t.Fatalf("ReplayWAL: %v", err)
+	}
+	if st.Truncated || st.Records != 4 || st.Seq != 6 || len(st.Decided) != 2 || len(st.Pending) != 1 {
+		t.Errorf("replayed %d records seq=%d decided=%d pending=%d truncated=%v; want 4, 6, 2, 1, false",
+			st.Records, st.Seq, len(st.Decided), len(st.Pending), st.Truncated)
+	}
+	j, st2, err := openJournal(WALOptions{Dir: dir, Fsync: FsyncNone})
+	if err != nil {
+		t.Fatalf("openJournal: %v", err)
+	}
+	defer j.Close()
+	if !reflect.DeepEqual(st2, st) {
+		t.Errorf("openJournal recovered %+v, ReplayWAL %+v", st2, st)
+	}
+	if gens, err := listWALGens(dir); err != nil || !reflect.DeepEqual(gens, []uint64{3}) {
+		t.Errorf("generations after open = %v, %v; want [3]", gens, err)
+	}
+	for _, name := range strays {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Errorf("stray file %s: %v", name, err)
+		}
 	}
 }
 

@@ -1,21 +1,17 @@
 package slo
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"log/slog"
 	"net/http"
 	"os"
-	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
+	"entitlement/internal/recordlog"
 	"entitlement/internal/topology"
 )
 
@@ -25,29 +21,15 @@ import (
 // cycle spans to disk while any alert stays active, and closes — emitting a
 // structured attribution envelope — once hysteresis has cleared every alert.
 //
-// Capture file format (incident-%016d.cap), one record per frame, reusing
-// the granting journal's WAL conventions:
-//
-//	4 bytes  payload length n (0 < n <= maxCapRecord), big-endian
-//	4 bytes  CRC-32C (Castagnoli) of the payload, big-endian
-//	n bytes  JSON-encoded captureRecord
-//
+// A capture file (incident-%016d.cap) is a sequence of captureRecords in the
+// internal/recordlog format, the same framing the granting journal uses.
 // A capture opens with a "meta" record (engine configuration, objectives,
 // pre-arm alert seeds, trigger transitions, topology epoch), then carries
 // interleaved "samp" (flight-recorder batches), "span" (agent cycle spans)
 // and "eval" (per-evaluation engine output) records, and closes with a
 // "rep" (final conformance report) and an "env" (attribution envelope)
-// record. Decoding stops at the first torn or corrupt frame and keeps the
-// valid prefix — the same crash-consistency contract the granting WAL makes.
-
-// maxCapRecord bounds one record's payload; a length prefix beyond it marks
-// a corrupt (or torn) tail.
-const maxCapRecord = 16 << 20
-
-// capHeaderSize is the fixed per-record framing overhead.
-const capHeaderSize = 8
-
-var capCRC = crc32.MakeTable(crc32.Castagnoli)
+// record. Decoding stops at the first torn, corrupt or misshapen record and
+// keeps the valid prefix.
 
 // captureVersion stamps the capture format; replay refuses versions it does
 // not understand rather than silently misreading evidence.
@@ -125,64 +107,10 @@ func (r *captureRecord) shapeOK() bool {
 	return false
 }
 
-// encodeCaptureRecord frames one record; the returned buffer includes the
-// header.
-func encodeCaptureRecord(rec *captureRecord) ([]byte, error) {
-	body, err := json.Marshal(rec)
-	if err != nil {
-		return nil, fmt.Errorf("slo: capture encode: %w", err)
-	}
-	if len(body) > maxCapRecord {
-		return nil, fmt.Errorf("slo: capture record %d bytes exceeds %d", len(body), maxCapRecord)
-	}
-	buf := make([]byte, capHeaderSize+len(body))
-	binary.BigEndian.PutUint32(buf[0:4], uint32(len(body)))
-	binary.BigEndian.PutUint32(buf[4:8], crc32.Checksum(body, capCRC))
-	copy(buf[capHeaderSize:], body)
-	return buf, nil
-}
-
-// decodeCaptureStream reads records until EOF or the first invalid record.
-// It never fails on arbitrary bytes: a torn or corrupt tail ends the decode
-// with truncated=true and valid holding the byte offset of the last good
-// record boundary (the valid-prefix property FuzzBlackboxDecode pins).
-func decodeCaptureStream(r io.Reader) (recs []captureRecord, valid int64, truncated bool) {
-	var hdr [capHeaderSize]byte
-	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return recs, valid, !errors.Is(err, io.EOF)
-		}
-		n := binary.BigEndian.Uint32(hdr[0:4])
-		if n == 0 || n > maxCapRecord {
-			return recs, valid, true
-		}
-		body := make([]byte, n)
-		if _, err := io.ReadFull(r, body); err != nil {
-			return recs, valid, true
-		}
-		if crc32.Checksum(body, capCRC) != binary.BigEndian.Uint32(hdr[4:8]) {
-			return recs, valid, true
-		}
-		var rec captureRecord
-		if err := json.Unmarshal(body, &rec); err != nil {
-			return recs, valid, true
-		}
-		if !rec.shapeOK() {
-			return recs, valid, true
-		}
-		recs = append(recs, rec)
-		valid += capHeaderSize + int64(n)
-	}
-}
-
 // capName and envName locate one generation's capture and envelope files.
-func capName(dir string, gen uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("incident-%016d.cap", gen))
-}
+func capName(dir string, gen uint64) string { return recordlog.Name(dir, "incident-", gen, ".cap") }
 
-func envName(dir string, gen uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("incident-%016d.json", gen))
-}
+func envName(dir string, gen uint64) string { return recordlog.Name(dir, "incident-", gen, ".json") }
 
 // BlackboxOptions configure a Blackbox. Dir is required; everything else
 // has workable defaults.
@@ -297,14 +225,9 @@ func NewBlackbox(opts BlackboxOptions) (*Blackbox, error) {
 	}
 	seen := make(map[uint64]bool)
 	for _, e := range entries {
-		name := e.Name()
-		var gen uint64
-		var ok bool
-		switch {
-		case strings.HasPrefix(name, "incident-") && strings.HasSuffix(name, ".cap"):
-			gen, ok = parseGen(name, ".cap")
-		case strings.HasPrefix(name, "incident-") && strings.HasSuffix(name, ".json"):
-			gen, ok = parseGen(name, ".json")
+		gen, ok := recordlog.ParseName(e.Name(), "incident-", ".cap")
+		if !ok {
+			gen, ok = recordlog.ParseName(e.Name(), "incident-", ".json")
 		}
 		if !ok {
 			continue
@@ -338,15 +261,6 @@ func NewBlackbox(opts BlackboxOptions) (*Blackbox, error) {
 		}
 	}
 	return bb, nil
-}
-
-func parseGen(name, suffix string) (uint64, bool) {
-	s := strings.TrimSuffix(strings.TrimPrefix(name, "incident-"), suffix)
-	var gen uint64
-	if _, err := fmt.Sscanf(s, "%d", &gen); err != nil || fmt.Sprintf("%016d", gen) != s {
-		return 0, false
-	}
-	return gen, true
 }
 
 // RecordSpan feeds one enforcement-cycle span into the box. While disarmed
@@ -635,7 +549,7 @@ func (bb *Blackbox) writeLocked(rec *captureRecord) {
 		mBBDrops.Inc()
 		return
 	}
-	buf, err := encodeCaptureRecord(rec)
+	buf, err := recordlog.Encode(rec)
 	if err == nil {
 		_, err = bb.f.Write(buf)
 	}

@@ -2,9 +2,10 @@ package slo
 
 import (
 	"bytes"
-	"encoding/json"
 	"testing"
 	"time"
+
+	"entitlement/internal/recordlog"
 )
 
 // captureTestRecords builds one of each record type with representative
@@ -42,16 +43,15 @@ func captureTestRecords() []captureRecord {
 	}
 }
 
-// FuzzBlackboxDecode throws arbitrary bytes at the capture decoder. Mirror of
-// FuzzJournalReplay: the decoder must never panic, must never claim more
-// valid bytes than the input holds, and the prefix it reports valid must
-// re-decode to the same records with no truncation — corruption always lands
-// on a clean record boundary.
+// FuzzBlackboxDecode throws arbitrary bytes at the capture read path: indexing
+// and replaying whatever the decoder accepts must never panic (records are
+// shape-checked, not value-checked). The valid-prefix property of the
+// framing itself is recordlog's FuzzDecode.
 func FuzzBlackboxDecode(f *testing.F) {
 	recs := captureTestRecords()
 	var clean bytes.Buffer
 	for i := range recs {
-		b, err := encodeCaptureRecord(&recs[i])
+		b, err := recordlog.Encode(&recs[i])
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -69,28 +69,7 @@ func FuzzBlackboxDecode(f *testing.F) {
 	f.Add(append(garbage, []byte("trailing garbage past the last record")...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, valid, truncated := decodeCaptureStream(bytes.NewReader(data))
-		if valid < 0 || valid > int64(len(data)) {
-			t.Fatalf("valid = %d outside [0, %d]", valid, len(data))
-		}
-		if !truncated && valid != int64(len(data)) {
-			t.Fatalf("clean decode but valid = %d of %d bytes", valid, len(data))
-		}
-		again, validAgain, truncAgain := decodeCaptureStream(bytes.NewReader(data[:valid]))
-		if truncAgain {
-			t.Fatalf("valid prefix (%d bytes) reported truncated on replay", valid)
-		}
-		if validAgain != valid || len(again) != len(got) {
-			t.Fatalf("prefix replay: %d records valid=%d, want %d records valid=%d",
-				len(again), validAgain, len(got), valid)
-		}
-		gj, _ := json.Marshal(got)
-		aj, _ := json.Marshal(again)
-		if !bytes.Equal(gj, aj) {
-			t.Fatalf("prefix replay diverged:\nfirst  %s\nsecond %s", gj, aj)
-		}
-		// Indexing and replaying decoded records must tolerate arbitrary
-		// field values (shape-checked, not value-checked).
+		got, valid, truncated := recordlog.Decode(bytes.NewReader(data), (*captureRecord).shapeOK)
 		if len(got) > 0 && got[0].T == "meta" {
 			c := &Capture{Meta: got[0].Meta, ValidBytes: valid, Truncated: truncated, records: got}
 			c.Index()

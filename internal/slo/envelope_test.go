@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"testing"
 	"time"
+
+	"entitlement/internal/recordlog"
 )
 
 // TestEnvelopeRoundtrip pins the envelope's wire stability: encode → decode →
@@ -76,11 +78,11 @@ func TestEnvelopeRoundtrip(t *testing.T) {
 	}
 	// The same roundtrip must hold through the capture record framing, which
 	// is how the envelope travels inside the .cap file.
-	buf, err := encodeCaptureRecord(&captureRecord{T: "env", Env: env})
+	buf, err := recordlog.Encode(&captureRecord{T: "env", Env: env})
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, valid, truncated := decodeCaptureStream(bytes.NewReader(buf))
+	recs, valid, truncated := recordlog.Decode(bytes.NewReader(buf), (*captureRecord).shapeOK)
 	if truncated || valid != int64(len(buf)) || len(recs) != 1 {
 		t.Fatalf("framed roundtrip: %d records, valid=%d/%d, truncated=%v", len(recs), valid, len(buf), truncated)
 	}

@@ -10,6 +10,8 @@ import (
 	"path/filepath"
 	"sort"
 	"time"
+
+	"entitlement/internal/recordlog"
 )
 
 // Capture is one incident's decoded record file.
@@ -34,7 +36,7 @@ func ReadCapture(path string) (*Capture, error) {
 		return nil, err
 	}
 	defer f.Close()
-	recs, valid, truncated := decodeCaptureStream(bufio.NewReader(f))
+	recs, valid, truncated := recordlog.Decode(bufio.NewReader(f), (*captureRecord).shapeOK)
 	c := &Capture{Path: path, ValidBytes: valid, Truncated: truncated, records: recs}
 	if len(recs) == 0 || recs[0].T != "meta" {
 		return nil, fmt.Errorf("slo: %s: no capture metadata (valid prefix %d bytes)", path, valid)
@@ -51,7 +53,7 @@ func ListCaptures(dir string) ([]string, error) {
 	}
 	var out []string
 	for _, e := range entries {
-		if _, ok := parseGen(e.Name(), ".cap"); ok {
+		if _, ok := recordlog.ParseName(e.Name(), "incident-", ".cap"); ok {
 			out = append(out, filepath.Join(dir, e.Name()))
 		}
 	}
