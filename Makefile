@@ -106,16 +106,21 @@ bench-delta:
 	go test -count=1 -run 'TestDeltaSpeedup' -v ./internal/risk/
 
 # Distributed tracing spine: the trace package's unit/property/fuzz-seed
-# suite, the wire propagation and SetTrace race tests, and the golden
-# cross-process drill — one grant submitted over real TCP must come back as
-# ONE trace spanning submitter, grantd, and contractdb with correct
-# parent/child edges and monotone timings, and tail sampling must keep 100%
-# of incident traces while probabilistically dropping healthy ones. All
-# under the race detector.
+# suite, the wire propagation, request-ID correlation and SetSpan race
+# tests, and the golden cross-process drill — one grant submitted over real
+# TCP must come back as ONE trace spanning submitter, grantd, and
+# contractdb with correct parent/child edges and monotone timings, an
+# agent's call after its cycle must stay out of the cycle's trace, and
+# tail sampling must keep 100% of incident traces while probabilistically
+# dropping healthy ones. All under the race detector; every listed name
+# must match a test (see run-listed below).
+TRACE_WIRE := TestCallPropagatesSpanTree TestRequestIDCorrelatesSpanTree TestSetSpanRaceWithConcurrentCalls
+TRACE_INTEGRATION := TestDistributedTraceSpine TestCycleSpanContextClearedAfterCycle TestTailSamplingRetention
+
 trace:
 	go test -race -count=1 -timeout 120s ./internal/obs/trace/
-	go test -race -count=1 -timeout 120s -run 'TestCallPropagatesSpanTree|TestSetTraceRaceWithConcurrentCalls' ./internal/wire/
-	go test -race -count=1 -timeout 180s -v -run 'TestDistributedTraceSpine|TestTailSamplingRetention' ./internal/integration/
+	$(call run-listed,./internal/wire/,$(TRACE_WIRE))
+	$(call run-listed,./internal/integration/,$(TRACE_INTEGRATION))
 
 # Wire robustness gate for the binary envelope, the only framing the wire
 # protocol speaks: torn and oversized frames, garbage bodies, a JSON-looking

@@ -54,8 +54,8 @@ func main() {
 	sloReport := flag.Bool("slo-report", false, "track this contract's SLO conformance (serve /slo, print the report on exit)")
 	blackboxDir := flag.String("blackbox-dir", "", "arm an incident black box in this directory: burn-rate alerts trigger a persistent capture replayable with `sloctl replay` (implies -slo-report)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /healthz and /debug/pprof on this address (empty disables)")
-	logLevel := flag.String("log-level", "info", "cycle trace level: debug, info, warn, error")
-	logJSON := flag.Bool("log-json", false, "emit cycle traces as JSON instead of text")
+	logLevel := flag.String("log-level", "info", "black-box log level: debug, info, warn, error")
+	logJSON := flag.Bool("log-json", false, "emit logs as JSON instead of text")
 	flag.Parse()
 
 	if err := run(config{
@@ -137,10 +137,9 @@ func run(cfg config) error {
 	}
 	// Lazy connections: the agent starts (and keeps running) whether or
 	// not the servers are reachable; the wire layer re-dials with capped
-	// backoff behind every call. The Logger surfaces per-call client spans
-	// — method, request_id, took — at debug level; the request IDs match
-	// the ones the servers log, so one grep follows a call end to end.
-	opts := wire.ClientOptions{DialTimeout: cfg.dialTimeout, CallTimeout: cfg.callTimeout, Logger: logger, Service: cfg.host}
+	// backoff behind every call. Each call is a wire.call span in its
+	// cycle's trace, labeled with this host.
+	opts := wire.ClientOptions{DialTimeout: cfg.dialTimeout, CallTimeout: cfg.callTimeout, Service: cfg.host}
 	db := contractdb.Connect(cfg.dbAddr, opts)
 	defer db.Close()
 	kv := kvstore.Connect(cfg.kvAddr, opts)
@@ -171,8 +170,7 @@ func run(cfg config) error {
 		cfg.host, cfg.npg, class, cfg.region, policy, cfg.rateGbps, cfg.dbAddr, cfg.kvAddr)
 	// Drive the loop through enforce.Run: the callback contract guarantees
 	// OnError/OnCycle are serialized with measure() on the Run goroutine,
-	// so the marking feedback below is race-free, and the Logger gives
-	// structured per-cycle trace spans with cycle IDs.
+	// so the marking feedback below is race-free.
 	localTotal := cfg.rateGbps * 1e9
 	localConform := localTotal
 	n := 0
@@ -181,7 +179,6 @@ func run(cfg config) error {
 	defer cancel()
 	err = agent.Run(ctx, func() (float64, float64) { return localTotal, localConform }, enforce.RunOptions{
 		Period: cfg.period,
-		Logger: logger,
 		Now:    func() time.Time { return time.Now().UTC() },
 		OnError: func(err error) {
 			var de *enforce.DegradedError

@@ -297,7 +297,7 @@ func runSLO(out string, samples int) error {
 	if !bb.Armed() {
 		return fmt.Errorf("incident drive did not arm the black box")
 	}
-	sp := slo.CycleSpan{At: now, Host: "cold-000", Contract: "Coldstorage", TraceID: "cold-000-c42", Enforced: 1e12}
+	sp := slo.CycleSpan{At: now, Host: "cold-000", Contract: "Coldstorage", TraceID: "cold-000-c42"}
 	armed := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if i%4096 == 0 {

@@ -82,10 +82,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "contractdb: %v\n", err)
 		os.Exit(1)
 	}
-	// The wire Logger emits one span per handled request at debug level,
-	// carrying the client-generated request_id — grep the same ID across
-	// agent and server logs to follow a call end to end.
-	srv := contractdb.NewServerOpts(l, store, wire.ServerOptions{Logger: logger, Service: "contractdb"})
+	// Each traced request is a wire.serve span labeled with this service,
+	// noted with the client-generated request ID (see /debug/traces).
+	srv := contractdb.NewServerOpts(l, store, wire.ServerOptions{Service: "contractdb"})
 	fmt.Printf("contractdb listening on %s\n", srv.Addr())
 	logger.Info("contractdb up", "addr", srv.Addr(), "contracts", store.Len())
 

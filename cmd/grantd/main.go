@@ -172,7 +172,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "grantd: %v\n", err)
 		os.Exit(1)
 	}
-	srv := granting.NewServerOpts(l, svc, wire.ServerOptions{Logger: logger})
+	srv := granting.NewServerOpts(l, svc, wire.ServerOptions{Service: "grantd"})
 	fmt.Printf("grantd listening on %s (%d regions, %d scenarios, default SLO %.4f)\n",
 		srv.Addr(), topo.NumRegions(), *scenarios, *slo)
 	logger.Info("grantd up", "addr", srv.Addr(), "regions", topo.NumRegions())

@@ -54,12 +54,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "kvstore: %v\n", err)
 		os.Exit(1)
 	}
-	// The wire Logger emits one span per handled request at debug level,
-	// carrying the client-generated request_id — grep the same ID across
-	// agent and server logs to follow a call end to end.
+	// Each traced request is a wire.serve span labeled with this service,
+	// noted with the client-generated request ID (see /debug/traces).
 	srv := kvstore.NewServerOpts(l, store, kvstore.ServerOptions{
 		CompactEvery: *compactEvery,
-		Wire:         wire.ServerOptions{ReadIdleTimeout: *idleTimeout, Logger: logger, Service: "kvstore"},
+		Wire:         wire.ServerOptions{ReadIdleTimeout: *idleTimeout, Service: "kvstore"},
 	})
 	fmt.Printf("kvstore listening on %s (compact every %s)\n", srv.Addr(), *compactEvery)
 	logger.Info("kvstore up", "addr", srv.Addr(), "compact_every", *compactEvery)

@@ -270,9 +270,8 @@ func (c *Client) SLO(npg contract.NPG) (float64, bool, error) {
 	return r.SLO, r.Found, nil
 }
 
-// SetTrace forwards a trace ID to the wire client: subsequent request IDs
-// carry it, correlating this client's calls with the caller's operation.
-func (c *Client) SetTrace(trace string) { c.c.SetTrace(trace) }
+// Deprecated: no-op; use SetSpan.
+func (c *Client) SetTrace(string) {}
 
 // SetSpan forwards a span context to the wire client: subsequent calls
 // become wire.call spans in the caller's trace, with the context carried on

@@ -100,14 +100,9 @@ type AgentConfig struct {
 	Tracer *trace.Collector
 }
 
-// traceSetter is what the agent needs from a dependency to propagate its
-// per-cycle trace ID; the wire-backed kvstore and contractdb clients
-// implement it, in-process stores don't (and don't need to).
-type traceSetter interface{ SetTrace(string) }
-
-// spanSetter upgrades traceSetter to full span propagation: dependencies
-// implementing it (the wire-backed clients) have their calls parented under
-// the cycle's phase spans instead of just carrying the grep prefix.
+// spanSetter is what the agent needs from a dependency to parent its calls
+// under the cycle's phase spans; the wire-backed kvstore and contractdb
+// clients implement it, in-process stores don't (and don't need to).
 type spanSetter interface{ SetSpan(trace.Context) }
 
 // Agent is the per-host enforcement agent of Figure 9's user-space
@@ -139,15 +134,13 @@ type Agent struct {
 	wasFailedOpen bool
 
 	// cycleSeq numbers this agent's cycles (annotated on the root span);
-	// dbTrace/ratesTrace and dbSpan/ratesSpan are the dependencies'
-	// SetTrace/SetSpan hooks when wire-backed (nil otherwise), resolved once
-	// at construction. tracer is the resolved span collector.
-	cycleSeq   uint64
-	dbTrace    traceSetter
-	ratesTrace traceSetter
-	dbSpan     spanSetter
-	ratesSpan  spanSetter
-	tracer     *trace.Collector
+	// dbSpan/ratesSpan are the dependencies' SetSpan hooks when wire-backed
+	// (nil otherwise), resolved once at construction. tracer is the
+	// resolved span collector.
+	cycleSeq  uint64
+	dbSpan    spanSetter
+	ratesSpan spanSetter
+	tracer    *trace.Collector
 	// sloSeries is the cached flight-recorder handle (nil when Conformance
 	// is unset); caching keeps the record path off the sync.Map lookup.
 	sloSeries *slo.Series
@@ -170,12 +163,6 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 	a := &Agent{
 		cfg: cfg,
 		key: bpf.MapKey{NPG: cfg.NPG, Class: cfg.Class, Region: cfg.Region},
-	}
-	if ts, ok := cfg.DB.(traceSetter); ok {
-		a.dbTrace = ts
-	}
-	if ts, ok := cfg.Rates.(traceSetter); ok {
-		a.ratesTrace = ts
 	}
 	if ss, ok := cfg.DB.(spanSetter); ok {
 		a.dbSpan = ss
@@ -220,12 +207,10 @@ type CycleReport struct {
 	// Faults lists the dependency errors behind a degraded cycle.
 	Faults []string
 	// TraceID is this cycle's 32-hex trace ID: the cycle is a real root span
-	// (with db.fetch / kv.publish / kv.aggregate / meter.apply children, and
-	// the wire RPCs under those), the ID prefixes every RPC request ID the
-	// cycle issued (grep the servers' logs for it), and it is attached to
-	// the agent's own cycle log line. Minted from the per-process random
-	// trace identity, so two hosts that happen to share a name can never
-	// collide the way the old "<host>-c<seq>" tokens could.
+	// with kv.publish / kv.aggregate / db.fetch / meter.apply children, and
+	// the wire RPCs under those (look the tree up by this ID on the
+	// collector's /debug/traces). Minted from the per-process random trace
+	// identity, so two hosts that share a name never collide.
 	TraceID string
 }
 
@@ -253,15 +238,6 @@ func (a *Agent) Cycle(now time.Time, localTotal, localConform float64) (CycleRep
 	root.SetContract(string(a.cfg.NPG))
 	root.Annotate(fmt.Sprintf("cycle %d host %s", a.cycleSeq, a.cfg.Host))
 	traceID := root.TraceID()
-	// Dependencies that speak spans join the tree per phase (set inside
-	// cycle); the plain SetTrace prefix rides along either way so request
-	// IDs stay grep-able under the trace ID.
-	if a.dbTrace != nil {
-		a.dbTrace.SetTrace(traceID)
-	}
-	if a.ratesTrace != nil {
-		a.ratesTrace.SetTrace(traceID)
-	}
 	start := time.Now()
 	rep, err := a.cycle(now, localTotal, localConform, root.Context())
 	rep.TraceID = traceID
@@ -285,14 +261,12 @@ func (a *Agent) Cycle(now time.Time, localTotal, localConform float64) (CycleRep
 			Degraded:   rep.Degraded,
 			FailedOpen: rep.FailedOpen,
 			StaleFor:   rep.StaleFor,
-			Enforced:   rep.EntitledRate,
-			Faults:     rep.Faults,
 		}
 		if err != nil {
 			// A hard failure made no enforcement decision at all — still
-			// evidence the black box wants, marked degraded with the error.
+			// evidence the black box wants, marked degraded; the error is on
+			// the root span of the retained tree.
 			sp.Degraded = true
-			sp.Faults = append(append([]string(nil), rep.Faults...), "hard: "+err.Error())
 		}
 		// Attach the full span tree when tail sampling retained the trace —
 		// incident cycles (degraded/fail-open/error) always are, so replay
@@ -373,6 +347,16 @@ func (a *Agent) startPhase(tc trace.Context, name string, dep spanSetter) trace.
 	return sp
 }
 
+// endPhase finishes a phase span and detaches the dependency from it, so a
+// later call on the same client (cmd/agent's SLO lookup after a cycle, say)
+// does not join a cycle trace that has already finished.
+func endPhase(sp *trace.Span, dep spanSetter) {
+	sp.Finish()
+	if dep != nil {
+		dep.SetSpan(trace.Context{})
+	}
+}
+
 // cycle is the uninstrumented cycle body; see Cycle. tc is the cycle root
 // span's context; each phase below is a child span under it.
 func (a *Agent) cycle(now time.Time, localTotal, localConform float64, tc trace.Context) (CycleReport, error) {
@@ -391,7 +375,7 @@ func (a *Agent) cycle(now time.Time, localTotal, localConform float64, tc trace.
 		rep.fault("publish conform", err)
 		pub.SetError(err)
 	}
-	pub.Finish()
+	endPhase(&pub, a.ratesSpan)
 	// 2. Read the service-wide aggregates; cache on success.
 	agg := a.startPhase(tc, "kv.aggregate", a.ratesSpan)
 	total, errTotal := a.cfg.Rates.SumPrefix(kvstore.RatePrefix(npg, class, region))
@@ -409,7 +393,7 @@ func (a *Agent) cycle(now time.Time, localTotal, localConform float64, tc trace.
 		rep.fault("aggregate conform", errConform)
 		agg.SetError(errConform)
 	}
-	agg.Finish()
+	endPhase(&agg, a.ratesSpan)
 	// 3. Query the contract; cache on success.
 	fetch := a.startPhase(tc, "db.fetch", a.dbSpan)
 	entitled, found, err := a.cfg.DB.EntitledRate(a.cfg.NPG, a.cfg.Class, a.cfg.Region, contract.Egress, now)
@@ -421,7 +405,7 @@ func (a *Agent) cycle(now time.Time, localTotal, localConform float64, tc trace.
 		a.entAt, a.entOK = now, true
 		a.entRate, a.entFound = entitled, found
 	}
-	fetch.Finish()
+	endPhase(&fetch, a.dbSpan)
 	// 4. Decide from the freshest data available, within the budget.
 	if !a.aggOK || !a.entOK {
 		// Never had a good answer (e.g. servers down since startup):

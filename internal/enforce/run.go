@@ -3,7 +3,6 @@ package enforce
 import (
 	"context"
 	"fmt"
-	"log/slog"
 	"strings"
 	"time"
 )
@@ -43,11 +42,6 @@ type RunOptions struct {
 	// datapath affords, and the agent itself fails open once its
 	// staleness budget runs out).
 	OnError func(error)
-	// Logger, if set, receives one structured trace record per cycle,
-	// tagged with a per-Run monotonically increasing cycle ID: Debug for
-	// healthy cycles, Warn for degraded or failed-open ones, Error for
-	// hard failures. Nil disables tracing.
-	Logger *slog.Logger
 	// Now supplies the cycle timestamp; defaults to time.Now. Simulations
 	// inject their clock.
 	Now func() time.Time
@@ -78,21 +72,15 @@ func (a *Agent) Run(ctx context.Context, measure Measure, opts RunOptions) error
 	}
 	ticker := time.NewTicker(opts.Period)
 	defer ticker.Stop()
-	var cycleID uint64
 	for {
-		cycleID++
 		total, conform := measure()
-		start := time.Now()
 		rep, err := a.Cycle(opts.Now(), total, conform)
-		took := time.Since(start)
 		switch {
 		case err != nil:
-			a.trace(opts.Logger, cycleID, took, rep, err)
 			if opts.OnError != nil {
 				opts.OnError(err)
 			}
 		default:
-			a.trace(opts.Logger, cycleID, took, rep, nil)
 			if rep.Degraded && opts.OnError != nil {
 				opts.OnError(&DegradedError{Report: rep})
 			}
@@ -105,47 +93,5 @@ func (a *Agent) Run(ctx context.Context, measure Measure, opts RunOptions) error
 			return ctx.Err()
 		case <-ticker.C:
 		}
-	}
-}
-
-// trace emits one structured span-like record for a cycle.
-func (a *Agent) trace(l *slog.Logger, id uint64, took time.Duration, rep CycleReport, err error) {
-	if l == nil {
-		return
-	}
-	attrs := []any{
-		slog.Uint64("cycle_id", id),
-		slog.String("host", a.cfg.Host),
-		slog.String("npg", string(a.cfg.NPG)),
-		slog.Duration("took", took),
-	}
-	if rep.TraceID != "" {
-		// Grep the kvstore/contractdb server logs for this token: every RPC
-		// request ID the cycle issued carries it as a prefix.
-		attrs = append(attrs, slog.String("trace_id", rep.TraceID))
-	}
-	if err != nil {
-		l.Error("enforce.cycle", append(attrs, slog.Any("err", err))...)
-		return
-	}
-	attrs = append(attrs,
-		slog.Bool("enforced", rep.Enforced),
-		slog.Bool("degraded", rep.Degraded),
-		slog.Bool("failed_open", rep.FailedOpen),
-		slog.Float64("total_rate", rep.TotalRate),
-		slog.Float64("entitled_rate", rep.EntitledRate),
-		slog.Float64("conform_ratio", rep.ConformRatio),
-	)
-	switch {
-	case rep.FailedOpen:
-		l.Warn("enforce.cycle fail-open", append(attrs,
-			slog.Duration("stale_for", rep.StaleFor),
-			slog.String("faults", strings.Join(rep.Faults, "; ")))...)
-	case rep.Degraded:
-		l.Warn("enforce.cycle degraded", append(attrs,
-			slog.Duration("stale_for", rep.StaleFor),
-			slog.String("faults", strings.Join(rep.Faults, "; ")))...)
-	default:
-		l.Debug("enforce.cycle", attrs...)
 	}
 }

@@ -1,10 +1,8 @@
 package enforce
 
 import (
-	"bytes"
 	"context"
 	"errors"
-	"log/slog"
 	"strings"
 	"sync"
 	"testing"
@@ -127,62 +125,6 @@ func TestRunDegradedErrorMessageAndReport(t *testing.T) {
 	if de.Report.StaleFor == 0 {
 		t.Error("wrapped report lost StaleFor")
 	}
-}
-
-func TestRunTraceLogsCycleIDs(t *testing.T) {
-	a, _, ts, _ := degradedFixture(t, time.Hour)
-	now := tStart.Add(time.Hour)
-	var buf bytes.Buffer
-	var mu sync.Mutex
-	logger := slog.New(slog.NewTextHandler(lockedWriter{&mu, &buf}, &slog.HandlerOptions{Level: slog.LevelDebug}))
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cycles := 0
-	done := make(chan error, 1)
-	go func() {
-		done <- a.Run(ctx, func() (float64, float64) { return 10e12, 10e12 }, RunOptions{
-			Period: time.Millisecond,
-			Now:    func() time.Time { return now },
-			Logger: logger,
-			OnCycle: func(CycleReport) {
-				cycles++
-				if cycles == 2 {
-					ts.down = true // third cycle onward is degraded
-				}
-				if cycles >= 4 {
-					cancel()
-				}
-			},
-		})
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Run did not stop")
-	}
-	mu.Lock()
-	out := buf.String()
-	mu.Unlock()
-	for _, want := range []string{
-		"cycle_id=1", "cycle_id=2", "cycle_id=3",
-		"level=DEBUG", "level=WARN",
-		"msg=enforce.cycle", "degraded=true", "host=h1",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("trace output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-type lockedWriter struct {
-	mu *sync.Mutex
-	w  *bytes.Buffer
-}
-
-func (l lockedWriter) Write(p []byte) (int, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.w.Write(p)
 }
 
 // TestAgentMetricsTransitions checks the transition semantics of the

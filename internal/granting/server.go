@@ -163,9 +163,6 @@ func DialOpts(addr string, opts wire.ClientOptions) (*Client, error) {
 	return &Client{c: c}, nil
 }
 
-// SetTrace forwards a trace id into the wire request ids.
-func (c *Client) SetTrace(trace string) { c.c.SetTrace(trace) }
-
 // SetSpan forwards a span context into the wire client: subsequent calls
 // join the caller's span tree across the wire.
 func (c *Client) SetSpan(ctx trace.Context) { c.c.SetSpan(ctx) }

@@ -275,6 +275,79 @@ func TestDistributedTraceSpine(t *testing.T) {
 	}
 }
 
+// TestCycleSpanContextClearedAfterCycle: the agent points its wire-backed
+// clients at each phase span only for that phase. A call made on the same
+// client after Cycle returns — cmd/agent looks up the contract's SLO target
+// from OnCycle — must not join the finished cycle's trace. The rate store
+// is down, so the cycle is degraded and tail sampling keeps its tree.
+func TestCycleSpanContextClearedAfterCycle(t *testing.T) {
+	dbL, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dbSrv := contractdb.NewServerOpts(dbL, contractdb.NewStore(), wire.ServerOptions{Service: "contractdb"})
+	defer dbSrv.Close()
+	dead, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadAddr := dead.Addr().String()
+	dead.Close()
+
+	opts := wire.ClientOptions{Service: "stale-host", DialTimeout: time.Second, CallTimeout: time.Second}
+	dbc := contractdb.Connect(dbSrv.Addr(), opts)
+	defer dbc.Close()
+	kvc := kvstore.Connect(deadAddr, opts)
+	defer kvc.Close()
+	agent, err := enforce.NewAgent(enforce.AgentConfig{
+		Host: "stale-host", NPG: "Web", Class: contract.C2Low, Region: "A",
+		DB: dbc, Rates: kvc, Meter: enforce.NewStateful(),
+		Prog: bpf.NewProgram(bpf.NewMap()), Policy: enforce.HostBased,
+		RateTTL: time.Minute,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := agent.Cycle(time.Now(), 10e9, 10e9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Degraded {
+		t.Fatalf("cycle with the rate store down not degraded: %+v", rep)
+	}
+	if _, _, err := dbc.SLO("Web"); err != nil {
+		t.Fatal(err)
+	}
+	if err := kvc.Put("late", 1, time.Minute); err == nil {
+		t.Fatal("put to a dead rate store succeeded")
+	}
+	tree, ok := otrace.Default().Tree(rep.TraceID)
+	if !ok {
+		t.Fatalf("degraded cycle trace %s not retained", rep.TraceID)
+	}
+	have := map[string]bool{}
+	for _, sr := range tree.Spans {
+		have[sr.Name] = true
+	}
+	if !have["wire.call.entitled_rate"] || !have["wire.serve.entitled_rate"] {
+		t.Fatalf("cycle trace lacks its own db.fetch RPC; spans: %v", names(tree.Spans))
+	}
+	for _, late := range []string{"wire.call.get_slo", "wire.serve.get_slo"} {
+		if have[late] {
+			t.Errorf("%s, issued after the cycle returned, joined the cycle trace", late)
+		}
+	}
+	puts := 0
+	for _, sr := range tree.Spans {
+		if sr.Name == "wire.call.put" {
+			puts++
+		}
+	}
+	if puts != 2 {
+		t.Errorf("%d wire.call.put spans in the cycle trace, want the cycle's 2 publishes only", puts)
+	}
+}
+
 // TestTailSamplingRetention pins the tail-sampling contract at fleet
 // volume: every incident trace (error, shed, fail-open, degraded) is
 // retained, while healthy traces survive only at the probabilistic rate —

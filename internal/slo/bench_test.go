@@ -53,7 +53,7 @@ func BenchmarkBlackboxAppend(b *testing.B) {
 	bb.mu.Unlock()
 	sp := CycleSpan{
 		At: time.Unix(1700000000, 0), Host: "cold-000", Contract: "Coldstorage",
-		TraceID: "cold-000-c42", Enforced: 1e12,
+		TraceID: "cold-000-c42",
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -79,7 +79,7 @@ func BenchmarkBlackboxAppendDisarmed(b *testing.B) {
 	}
 	sp := CycleSpan{
 		At: time.Unix(1700000000, 0), Host: "cold-000", Contract: "Coldstorage",
-		TraceID: "cold-000-c42", Enforced: 1e12,
+		TraceID: "cold-000-c42",
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -24,13 +24,10 @@ type CycleSpan struct {
 	FailedOpen bool `json:"failed_open,omitempty"`
 	// StaleFor is how long the rate in force had gone unrefreshed.
 	StaleFor time.Duration `json:"stale_for,omitempty"`
-	// Enforced is the rate limit applied this cycle (bits/s; 0 = uncapped).
-	Enforced float64 `json:"enforced,omitempty"`
-	// Faults lists the cycle's component errors, oldest first.
-	Faults []string `json:"faults,omitempty"`
 	// Tree is the cycle's full span tree (root + phase children + wire
 	// RPCs), present when tail sampling retained the trace — incident cycles
-	// always are. Replay renders it as the causal path behind the outcome.
+	// always are, and their tree holds each phase's error. Replay renders it
+	// as the causal path behind the outcome.
 	Tree []trace.SpanRecord `json:"tree,omitempty"`
 }
 

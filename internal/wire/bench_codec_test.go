@@ -28,7 +28,7 @@ func BenchmarkPublishCodecBinary(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// Client: frame the request.
-		idbuf = appendRequestID(idbuf[:0], "", "bench", uint64(i))
+		idbuf = appendRequestID(idbuf[:0], "bench", uint64(i))
 		wbuf = append(wbuf[:0], 0, 0, 0, 0)
 		wbuf = appendBinRequestHeader(wbuf, reqFlagBinaryPayload|reqFlagAcceptBinary, "put", idbuf, "")
 		wbuf = benchPut.AppendBinary(wbuf)

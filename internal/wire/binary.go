@@ -201,14 +201,9 @@ func readFrameInto(r *bufio.Reader, buf []byte) (body, kept []byte, err error) {
 	return body, buf, nil
 }
 
-// appendRequestID renders "<prefix>.<base>-<seq>" (or "<base>-<seq>"
-// untraced) into dst without allocating — the hot path's replacement for
-// fmt.Sprintf in requestID.
-func appendRequestID(dst []byte, prefix, base string, seq uint64) []byte {
-	if prefix != "" {
-		dst = append(dst, prefix...)
-		dst = append(dst, '.')
-	}
+// appendRequestID renders "<base>-<seq>" into dst without allocating — the
+// hot path's replacement for fmt.Sprintf in requestID.
+func appendRequestID(dst []byte, base string, seq uint64) []byte {
 	dst = append(dst, base...)
 	dst = append(dst, '-')
 	return strconv.AppendUint(dst, seq, 10)

@@ -55,21 +55,9 @@ func TestReadFrameIntoGrowAndShortBody(t *testing.T) {
 	}
 }
 
-func TestBytesEqual(t *testing.T) {
-	if bytesEqual([]byte("ab"), []byte("abc")) {
-		t.Error("length mismatch equal")
-	}
-	if bytesEqual([]byte("ab"), []byte("ac")) {
-		t.Error("content mismatch equal")
-	}
-	if !bytesEqual([]byte("ab"), []byte("ab")) {
-		t.Error("equal slices unequal")
-	}
-}
-
-// The serve loop honors ReadIdleTimeout, logs through the server Logger,
-// and stamps the Service name onto spans, with the client side logging
-// too — for replies in either payload codec.
+// The serve loop keeps serving with ReadIdleTimeout set (the deadline is
+// re-armed per request) and stamps the Service name onto its wire.serve
+// spans, for replies in either payload codec.
 func TestServeLoopsWithLoggerServiceAndIdleTimeout(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -87,7 +75,6 @@ func TestServeLoopsWithLoggerServiceAndIdleTimeout(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var serverLog, clientLog syncBuffer
 			l, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
 				t.Fatal(err)
@@ -103,18 +90,16 @@ func TestServeLoopsWithLoggerServiceAndIdleTimeout(t *testing.T) {
 				}
 			}, ServerOptions{
 				ReadIdleTimeout: 2 * time.Second,
-				Logger:          debugLogger(&serverLog),
 				Service:         "covertest",
 			})
 			defer srv.Close()
-			c, err := DialOpts(l.Addr().String(), ClientOptions{Logger: debugLogger(&clientLog)})
+			c, err := Dial(l.Addr().String())
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer c.Close()
 			root := trace.Default().StartRoot("cover-op")
 			c.SetSpan(root.Context())
-			defer root.Finish()
 			reply, got := tc.reply()
 			if err := c.Call("ok", nil, reply); err != nil || got() != 2.5 {
 				t.Fatalf("ok = %v, %v", got(), err)
@@ -131,10 +116,22 @@ func TestServeLoopsWithLoggerServiceAndIdleTimeout(t *testing.T) {
 			if err := c.Call("ok", nil, reply); err != nil {
 				t.Fatalf("connection lost after marshal failure: %v", err)
 			}
-			for _, log := range []*syncBuffer{&serverLog, &clientLog} {
-				if !strings.Contains(log.String(), "boom") {
-					t.Error("error call not logged")
+			root.Finish() // the failed calls force retention
+			tree, ok := trace.Default().Tree(root.TraceID())
+			if !ok {
+				t.Fatalf("trace %s not retained", root.TraceID())
+			}
+			serves := 0
+			for _, sp := range tree.Spans {
+				if strings.HasPrefix(sp.Name, "wire.serve.") {
+					serves++
+					if sp.Service != "covertest" {
+						t.Errorf("%s service = %q, want covertest", sp.Name, sp.Service)
+					}
 				}
+			}
+			if serves != 4 {
+				t.Errorf("%d wire.serve spans, want one per call (4)", serves)
 			}
 		})
 	}

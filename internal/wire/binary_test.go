@@ -490,10 +490,7 @@ func TestPayloadDecodeErrors(t *testing.T) {
 }
 
 func TestAppendRequestID(t *testing.T) {
-	if got := string(appendRequestID(nil, "", "base", 7)); got != "base-7" {
-		t.Errorf("untraced id = %q", got)
-	}
-	if got := string(appendRequestID(nil, "tr", "base", 7)); got != "tr.base-7" {
-		t.Errorf("traced id = %q", got)
+	if got := string(appendRequestID(nil, "base", 7)); got != "base-7" {
+		t.Errorf("id = %q", got)
 	}
 }

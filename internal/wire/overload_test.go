@@ -43,7 +43,8 @@ func TestOverloadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	c.SetTrace("ov")
+	root := trace.Default().StartRoot("ov")
+	c.SetSpan(root.Context())
 
 	err = c.Call("shed", nil, nil)
 	var oe *OverloadedError
@@ -56,8 +57,8 @@ func TestOverloadRoundTrip(t *testing.T) {
 	if oe.Method != "shed" || !strings.Contains(oe.Message, "queue full") {
 		t.Errorf("overload error lost context: %+v", oe)
 	}
-	if oe.RequestID == "" || !strings.HasPrefix(oe.RequestID, "ov.") {
-		t.Errorf("RequestID = %q, want the traced id", oe.RequestID)
+	if oe.RequestID == "" {
+		t.Error("overload error without a request ID")
 	}
 	if !IsTransient(err) {
 		t.Error("overload not transient: retrying after backoff must be allowed")
@@ -87,5 +88,21 @@ func TestOverloadRoundTrip(t *testing.T) {
 	}
 	if classify(err) != "remote" {
 		t.Errorf("classify(fail) = %q, want remote", classify(err))
+	}
+
+	// Both sides of the first shed flag their span, so the trace is kept.
+	root.Finish()
+	tree, ok := trace.Default().Tree(root.TraceID())
+	if !ok {
+		t.Fatalf("trace %s of a shed call not retained", root.TraceID())
+	}
+	shedSpans := 0
+	for _, sp := range tree.Spans {
+		if (sp.Name == "wire.call.shed" || sp.Name == "wire.serve.shed") && strings.Contains(strings.Join(sp.Flags, ","), "shed") {
+			shedSpans++
+		}
+	}
+	if shedSpans != 2 {
+		t.Errorf("%d shed-flagged wire.call.shed/wire.serve.shed spans, want 2: %+v", shedSpans, tree.Spans)
 	}
 }

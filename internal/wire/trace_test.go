@@ -2,12 +2,9 @@ package wire
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
-	"log/slog"
 	"net"
-	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -15,110 +12,54 @@ import (
 	"entitlement/internal/obs/trace"
 )
 
-// syncBuffer is a goroutine-safe log sink (the server logs from its
-// connection goroutine).
-type syncBuffer struct {
-	mu sync.Mutex
-	b  bytes.Buffer
-}
-
-func (s *syncBuffer) Write(p []byte) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.b.Write(p)
-}
-
-func (s *syncBuffer) String() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.b.String()
-}
-
-func debugLogger(w *syncBuffer) *slog.Logger {
-	return slog.New(slog.NewTextHandler(w, &slog.HandlerOptions{Level: slog.LevelDebug}))
-}
-
 // nopHandler answers every request with an empty success.
 func nopHandler(trace.Context, string, Payload) (interface{}, error) { return nil, nil }
 
-var requestIDRE = regexp.MustCompile(`request_id=(\S+)`)
-
-// TestRequestIDPropagatedToLogs is the trace-propagation contract: for one
-// call, the SAME client-generated request ID appears in the client's span
-// and in the server's span.
-func TestRequestIDPropagatedToLogs(t *testing.T) {
-	var clientLog, serverLog syncBuffer
+// TestRequestIDCorrelatesSpanTree is the request-ID contract under tracing:
+// for one failing traced call, the ID stamped on the caller's error is the
+// note on both the client's wire.call span and the server's wire.serve span,
+// so an error in a log leads straight to its two spans.
+func TestRequestIDCorrelatesSpanTree(t *testing.T) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(l, func(_ trace.Context, method string, _ Payload) (interface{}, error) {
-		return map[string]string{"pong": method}, nil
-	}, ServerOptions{Logger: debugLogger(&serverLog)})
+	srv := NewServer(l, func(trace.Context, string, Payload) (interface{}, error) {
+		return nil, errors.New("handler says no")
+	}, ServerOptions{})
 	defer srv.Close()
-
-	c, err := DialOpts(l.Addr().String(), ClientOptions{Logger: debugLogger(&clientLog)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	var reply map[string]string
-	if err := c.Call("ping", nil, &reply); err != nil {
-		t.Fatal(err)
-	}
-	srv.Close() // flush: the server span is written before the response, but close anyway
-
-	m := requestIDRE.FindStringSubmatch(clientLog.String())
-	if m == nil {
-		t.Fatalf("no request_id in client log:\n%s", clientLog.String())
-	}
-	id := m[1]
-	if id == "" {
-		t.Fatal("empty request ID in client span")
-	}
-	if !strings.Contains(serverLog.String(), "request_id="+id) {
-		t.Fatalf("request ID %s from the client span is missing from the server log:\n%s", id, serverLog.String())
-	}
-}
-
-// TestSetTracePrefixesRequestIDs: after SetTrace, every request ID carries
-// the trace prefix, so a cycle's whole fan-out greps under one token.
-func TestSetTracePrefixesRequestIDs(t *testing.T) {
-	var clientLog syncBuffer
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServer(l, nopHandler, ServerOptions{})
-	defer srv.Close()
-	c, err := DialOpts(l.Addr().String(), ClientOptions{Logger: debugLogger(&clientLog)})
+	c, err := Dial(l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 
-	c.SetTrace("host-7-c42")
-	if err := c.Call("a", nil, nil); err != nil {
-		t.Fatal(err)
+	col := trace.Default()
+	root := col.StartRoot("op")
+	c.SetSpan(root.Context())
+	err = c.Call("denied", nil, nil)
+	c.SetSpan(trace.Context{})
+	root.Finish() // the error-flagged children force retention
+	var re *RemoteError
+	if !errors.As(err, &re) || re.RequestID == "" {
+		t.Fatalf("want RemoteError with a request ID, got %v", err)
 	}
-	if err := c.Call("b", nil, nil); err != nil {
-		t.Fatal(err)
+	tree, ok := col.Tree(root.TraceID())
+	if !ok {
+		t.Fatalf("trace %s of a failed call not retained", root.TraceID())
 	}
-	c.SetTrace("")
-	if err := c.Call("c", nil, nil); err != nil {
-		t.Fatal(err)
+	notes := map[string]string{}
+	for _, s := range tree.Spans {
+		notes[s.Name] = s.Note
 	}
-	ids := requestIDRE.FindAllStringSubmatch(clientLog.String(), -1)
-	if len(ids) != 3 {
-		t.Fatalf("want 3 spans, got %d:\n%s", len(ids), clientLog.String())
-	}
-	for _, m := range ids[:2] {
-		if !strings.HasPrefix(m[1], "host-7-c42.") {
-			t.Fatalf("traced request ID %q lacks the trace prefix", m[1])
+	for _, name := range []string{"wire.call.denied", "wire.serve.denied"} {
+		got, ok := notes[name]
+		if !ok {
+			t.Fatalf("no %s span in tree: %+v", name, tree.Spans)
 		}
-	}
-	if strings.HasPrefix(ids[2][1], "host-7-c42.") {
-		t.Fatalf("request ID %q still carries a cleared trace", ids[2][1])
+		if got != re.RequestID {
+			t.Errorf("%s note = %q, want the error's request ID %q", name, got, re.RequestID)
+		}
 	}
 }
 
@@ -190,11 +131,10 @@ func TestCallPropagatesSpanTree(t *testing.T) {
 	}
 }
 
-// TestSetTraceRaceWithConcurrentCalls pins the lock-free trace state:
-// SetTrace/SetSpan swaps racing concurrent Calls must neither trip the race
-// detector nor produce a torn request ID (a traced ID always carries the
-// prefix of one complete snapshot).
-func TestSetTraceRaceWithConcurrentCalls(t *testing.T) {
+// TestSetSpanRaceWithConcurrentCalls pins the lock-free trace state:
+// SetSpan swaps (set and clear) racing concurrent Calls must neither trip
+// the race detector nor fail a call.
+func TestSetSpanRaceWithConcurrentCalls(t *testing.T) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -207,8 +147,10 @@ func TestSetTraceRaceWithConcurrentCalls(t *testing.T) {
 	}
 	defer c.Close()
 
-	sp := trace.Default().StartRoot("race-root")
-	defer sp.Finish()
+	a := trace.Default().StartRoot("race-root-a")
+	defer a.Finish()
+	b := trace.Default().StartRoot("race-root-b")
+	defer b.Finish()
 	stop := make(chan struct{})
 	var swapper sync.WaitGroup
 	swapper.Add(1)
@@ -222,11 +164,11 @@ func TestSetTraceRaceWithConcurrentCalls(t *testing.T) {
 			}
 			switch i % 3 {
 			case 0:
-				c.SetTrace(fmt.Sprintf("t%d", i))
+				c.SetSpan(a.Context())
 			case 1:
-				c.SetSpan(sp.Context())
+				c.SetSpan(b.Context())
 			default:
-				c.SetTrace("")
+				c.SetSpan(trace.Context{})
 			}
 		}
 	}()
@@ -237,7 +179,7 @@ func TestSetTraceRaceWithConcurrentCalls(t *testing.T) {
 			defer callers.Done()
 			for i := 0; i < 50; i++ {
 				if err := c.Call("m", nil, nil); err != nil {
-					t.Errorf("Call under SetTrace race: %v", err)
+					t.Errorf("Call under SetSpan race: %v", err)
 					return
 				}
 			}
@@ -247,7 +189,7 @@ func TestSetTraceRaceWithConcurrentCalls(t *testing.T) {
 	close(stop)
 	swapper.Wait()
 	// Correctness here is "no race detector report and no failed call"; the
-	// atomic snapshot makes a torn prefix/context pair unrepresentable.
+	// atomic snapshot makes a torn context unrepresentable.
 }
 
 // TestRequestIDOnErrors: both RemoteError and TransientError surface the

@@ -20,31 +20,29 @@
 // with an optional per-connection read idle timeout and answers protocol
 // violations with an error response instead of a silent disconnect.
 //
-// Every request carries a client-generated request ID which the server
-// echoes back; both sides attach it to their slog spans (when a Logger is
-// configured) and the client stamps it onto returned errors, so one
-// enforcement cycle's RPC fan-out is correlatable end to end across
-// processes. Client.SetTrace prefixes subsequent IDs with a caller-chosen
-// trace ID (e.g. the enforcement cycle's), tying the fan-out together.
+// Every request carries a client-generated request ID, "<base>-<seq>",
+// which the server echoes back. The client matches the echo against the
+// request (a mismatch means the stream desynced) and stamps the ID onto
+// returned errors.
 //
-// On top of the request-ID correlation sits real distributed tracing:
-// Client.SetSpan attaches a trace context (internal/obs/trace) to the
-// client, every Call then starts a wire.call child span and propagates its
-// context in the frame's optional Trace field, and the server parents a
-// wire.serve span under it — so one operation's RPC fan-out is a single
-// span tree across processes, not just a grep-able token. An empty Trace
-// field costs one length byte and leaves the request untraced.
+// Correlation across processes is the span tree: Client.SetSpan attaches a
+// trace context (internal/obs/trace) to the client, every Call then starts
+// a wire.call child span and propagates its context in the frame's
+// optional Trace field, and the server parents a wire.serve span under it.
+// Both spans carry the request ID as their note, so a failed call's error
+// leads straight to its two spans. An empty Trace field costs one length
+// byte and leaves the request untraced.
 package wire
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
-	"log/slog"
 	"math/rand"
 	"net"
 	"sync"
@@ -177,10 +175,6 @@ type ServerOptions struct {
 	// so a byte-dribbling client cannot hold a goroutine by trickling one
 	// byte at a time. Zero means no timeout.
 	ReadIdleTimeout time.Duration
-	// Logger, if set, emits one span per handled request (method,
-	// request_id, took; Debug on success, Warn on handler error), carrying
-	// the client's request ID so the two sides' logs line up.
-	Logger *slog.Logger
 	// Service labels this server's wire.serve spans (e.g. "contractdb").
 	// Empty leaves the span on the process-wide collector default.
 	Service string
@@ -335,9 +329,7 @@ func (sc *serverConn) serveFrame(body []byte) bool {
 	}
 	p := Payload{data: req.payload, binary: req.flags&reqFlagBinaryPayload != 0}
 	mServerInflight.Inc()
-	start := time.Now()
 	result, err := s.handler(sp.Context(), method, p)
-	took := time.Since(start)
 	mServerInflight.Dec()
 	var respFlags byte
 	errMsg := ""
@@ -351,19 +343,9 @@ func (sc *serverConn) serveFrame(body []byte) bool {
 			retryMS = ov.RetryAfter.Milliseconds()
 			sp.Flag(trace.FlagShed)
 		}
-		sp.SetError(err)
-	}
-	if l := s.opts.Logger; l != nil {
-		attrs := []any{
-			slog.String("method", method),
-			slog.String("request_id", string(req.id)),
-			slog.Duration("took", took),
-		}
-		if err != nil {
-			l.Warn("wire.serve", append(attrs, slog.Any("err", err))...)
-		} else {
-			l.Debug("wire.serve", attrs...)
-		}
+		// Flag rather than SetError: the note stays the request ID, which
+		// the caller's error carries along with the message.
+		sp.Flag(trace.FlagError)
 	}
 	sp.Finish()
 	// Build the response frame in the reusable write buffer: 4-byte length
@@ -462,10 +444,6 @@ type ClientOptions struct {
 	// Now supplies the clock for backoff bookkeeping; defaults to
 	// time.Now. Tests inject a fake.
 	Now func() time.Time
-	// Logger, if set, emits one span per Call (method, request_id, took;
-	// Debug on success, Warn on failure). The request ID matches the span
-	// the server logs for the same call.
-	Logger *slog.Logger
 	// Service labels this client's wire.call spans (e.g. "grantd"). Empty
 	// leaves the span on the process-wide collector default.
 	Service string
@@ -525,21 +503,14 @@ type Client struct {
 	everConnected bool
 
 	// Request-ID and trace state: idBase identifies this client instance,
-	// reqSeq numbers its calls, and traceState is the optional caller trace
-	// set via SetTrace/SetSpan. It uses the same lock-free atomics as the
+	// reqSeq numbers its calls, and traceCtx is the optional caller span
+	// context set via SetSpan. It uses the same lock-free atomics as the
 	// request counter — an immutable snapshot swapped wholesale — so
-	// concurrent Calls never see a torn prefix/context pair and never
-	// contend with the connection mutex for it.
-	idBase     string
-	reqSeq     atomic.Uint64
-	traceState atomic.Pointer[clientTrace]
-}
-
-// clientTrace is one immutable trace snapshot: the request-ID prefix plus,
-// when set via SetSpan, the span context propagated in the request frame.
-type clientTrace struct {
-	prefix string
-	ctx    trace.Context
+	// concurrent Calls never see a torn context and never contend with the
+	// connection mutex for it.
+	idBase   string
+	reqSeq   atomic.Uint64
+	traceCtx atomic.Pointer[trace.Context]
 }
 
 // clientInstances distinguishes clients within one process; combined with
@@ -561,40 +532,22 @@ func newIDBase(addr string) string {
 	return fmt.Sprintf("%08x", h.Sum32()^processSalt^uint32(clientInstances.Add(1)<<24))
 }
 
-// SetTrace sets a trace ID prefixed onto every subsequent request ID (use
-// "" to clear), so a multi-call operation — an enforcement cycle's fan-out
-// to the rate store and contract database — shares one grep-able token
-// across client and server logs. It is now a shim over the span-context
-// API: a bare prefix with no propagated context. Use SetSpan to carry a
-// real span tree across the wire.
-func (c *Client) SetTrace(prefix string) {
-	if prefix == "" {
-		c.traceState.Store(nil)
-		return
-	}
-	c.traceState.Store(&clientTrace{prefix: prefix})
-}
-
 // SetSpan ties every subsequent Call to ctx until cleared (zero/invalid ctx
-// clears): request IDs gain the 32-hex trace ID prefix, each Call starts a
-// wire.call child span under ctx, and the request frame carries the child's
-// context so the server's wire.serve span joins the same tree.
+// clears): each Call starts a wire.call child span under ctx, and the
+// request frame carries the child's context so the server's wire.serve span
+// joins the same tree.
 func (c *Client) SetSpan(ctx trace.Context) {
 	if !ctx.Valid() {
-		c.traceState.Store(nil)
+		c.traceCtx.Store(nil)
 		return
 	}
-	c.traceState.Store(&clientTrace{prefix: ctx.TraceID(), ctx: ctx})
+	c.traceCtx.Store(&ctx)
 }
 
-// requestID renders the ID for call seq from a traceState snapshot:
-// "<trace>.<base>-<seq>" with a trace set, "<base>-<seq>" without. The
-// call path renders the same bytes via appendRequestID instead, so this
-// string is only materialized for spans, logs, and errors.
-func (c *Client) requestID(st *clientTrace, seq uint64) string {
-	if st != nil && st.prefix != "" {
-		return fmt.Sprintf("%s.%s-%d", st.prefix, c.idBase, seq)
-	}
+// requestID renders the ID for call seq, "<base>-<seq>". The call path
+// renders the same bytes via appendRequestID instead, so this string is
+// only materialized for spans and errors.
+func (c *Client) requestID(seq uint64) string {
 	return fmt.Sprintf("%s-%d", c.idBase, seq)
 }
 
@@ -722,25 +675,22 @@ func (c *Client) fail(conn net.Conn) {
 // (which may be nil to discard it). Transport failures — including the
 // per-call deadline firing — come back wrapped in TransientError; a
 // RemoteError means the server processed the request and rejected it.
-// Either way the error carries this call's request ID, matching the span
-// the server logged.
+// Either way the error carries this call's request ID, matching the note
+// on the call's wire.call and wire.serve spans when it was traced.
 func (c *Client) Call(method string, args interface{}, reply interface{}) (err error) {
-	st := c.traceState.Load()
+	tc := c.traceCtx.Load()
 	seq := c.reqSeq.Add(1)
-	// The ID string is materialized only off the hot path — spans, logs,
-	// error stamping. roundTrip renders the same bytes with appendRequestID
-	// and never builds the string on success.
-	id := ""
-	if (st != nil && st.ctx.Valid()) || c.opts.Logger != nil {
-		id = c.requestID(st, seq)
-	}
 	// With a span context attached, each Call is a wire.call child span
 	// whose context rides the request frame; errors and overload sheds flag
-	// the span, forcing tail sampling to keep the whole trace.
+	// the span, forcing tail sampling to keep the whole trace. The ID string
+	// is materialized only for the span note and error stamping: roundTrip
+	// renders the same bytes with appendRequestID.
+	var id string
 	var sp trace.Span
 	var frameTrace string
-	if st != nil && st.ctx.Valid() {
-		sp = trace.Default().StartChild(st.ctx, "wire.call."+method)
+	if tc != nil {
+		id = c.requestID(seq)
+		sp = trace.Default().StartChild(*tc, "wire.call."+method)
 		if c.opts.Service != "" {
 			sp.SetService(c.opts.Service)
 		}
@@ -749,20 +699,16 @@ func (c *Client) Call(method string, args interface{}, reply interface{}) (err e
 	}
 	mClientCalls.With(method).Inc()
 	mClientInflight.Inc()
-	var spanStart time.Time
-	if c.opts.Logger != nil {
-		spanStart = time.Now()
-	}
 	defer func() {
 		mClientInflight.Dec()
 		if err != nil {
 			mClientErrors.With(classify(err)).Inc()
 			if id == "" {
-				id = c.requestID(st, seq)
+				id = c.requestID(seq)
 			}
-			// Stamp the ID onto the error for log correlation. Both error
-			// types are freshly allocated per failure, so this mutation
-			// cannot race another caller.
+			// Stamp the ID onto the error. Each error type is freshly
+			// allocated per failure, so this mutation cannot race another
+			// caller.
 			var te *TransientError
 			var re *RemoteError
 			var oe *OverloadedError
@@ -774,21 +720,11 @@ func (c *Client) Call(method string, args interface{}, reply interface{}) (err e
 				oe.RequestID = id
 				sp.Flag(trace.FlagShed)
 			}
-			sp.SetError(err)
+			// The note stays the request ID; the error text, which carries
+			// it too, goes back to the caller.
+			sp.Flag(trace.FlagError)
 		}
 		sp.Finish()
-		if l := c.opts.Logger; l != nil {
-			attrs := []any{
-				slog.String("method", method),
-				slog.String("request_id", id),
-				slog.Duration("took", time.Since(spanStart)),
-			}
-			if err != nil {
-				l.Warn("wire.call", append(attrs, slog.Any("err", err))...)
-			} else {
-				l.Debug("wire.call", attrs...)
-			}
-		}
 	}()
 	c.callMu.Lock()
 	defer c.callMu.Unlock()
@@ -811,7 +747,7 @@ func (c *Client) Call(method string, args interface{}, reply interface{}) (err e
 	if c.opts.CallTimeout > 0 {
 		conn.SetDeadline(c.opts.Now().Add(c.opts.CallTimeout))
 	}
-	return c.roundTrip(conn, br, st, seq, method, frameTrace, args, reply)
+	return c.roundTrip(conn, br, seq, method, frameTrace, args, reply)
 }
 
 // roundTrip issues one call on the connection. The frame is built in the
@@ -820,12 +756,8 @@ func (c *Client) Call(method string, args interface{}, reply interface{}) (err e
 // otherwise — and the response is read into a second reusable buffer, so a
 // publish round trip allocates nothing after warm-up.
 // callMu is held; the per-call deadline was set by Call.
-func (c *Client) roundTrip(conn net.Conn, br *bufio.Reader, st *clientTrace, seq uint64, method, frameTrace string, args, reply interface{}) error {
-	prefix := ""
-	if st != nil {
-		prefix = st.prefix
-	}
-	idb := appendRequestID(c.idbuf[:0], prefix, c.idBase, seq)
+func (c *Client) roundTrip(conn net.Conn, br *bufio.Reader, seq uint64, method, frameTrace string, args, reply interface{}) error {
+	idb := appendRequestID(c.idbuf[:0], c.idBase, seq)
 	c.idbuf = idb[:0]
 	var flags byte
 	bm, binArgs := args.(schemav1.AppendMarshaler)
@@ -876,7 +808,7 @@ func (c *Client) roundTrip(conn net.Conn, br *bufio.Reader, st *clientTrace, seq
 	if c.opts.CallTimeout > 0 {
 		conn.SetDeadline(time.Time{})
 	}
-	if len(resp.id) != 0 && !bytesEqual(resp.id, idb) {
+	if len(resp.id) != 0 && !bytes.Equal(resp.id, idb) {
 		c.fail(conn)
 		return &TransientError{Err: fmt.Errorf("wire: response ID %q does not match request %q", resp.id, idb)}
 	}
@@ -903,19 +835,6 @@ func (c *Client) roundTrip(conn net.Conn, br *bufio.Reader, st *clientTrace, seq
 		return jsonUnmarshalPayload(resp.payload, reply)
 	}
 	return nil
-}
-
-// bytesEqual avoids pulling bytes.Equal into the hot path's import set.
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Close closes the underlying connection. It is safe to call concurrently
